@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/pdm"
 )
 
@@ -372,30 +373,30 @@ func (c *Cluster) Run(fn func(*Node) error) error {
 
 // CommStats accumulates one node's traffic counters.
 type CommStats struct {
-	MessagesSent  int64
-	BytesSent     int64
-	MessagesRecvd int64
-	BytesRecvd    int64
+	MessagesSent  int64 `json:"messages_sent"`
+	BytesSent     int64 `json:"bytes_sent"`
+	MessagesRecvd int64 `json:"messages_recvd"`
+	BytesRecvd    int64 `json:"bytes_recvd"`
 	// SendBusy is the total simulated time this node's NIC spent
 	// transmitting.
-	SendBusy time.Duration
+	SendBusy time.Duration `json:"send_busy_ns"`
 	// SendWait and RecvWait are the total wall time the node's goroutines
 	// spent blocked inside Send/SendAny (including the simulated transfer)
 	// and Recv/RecvAny respectively. Summed across the goroutines of an FG
 	// network they show how much communication latency the pipelines had to
 	// hide.
-	SendWait time.Duration
-	RecvWait time.Duration
+	SendWait time.Duration `json:"send_wait_ns"`
+	RecvWait time.Duration `json:"recv_wait_ns"`
 	// SendsBlocked and RecvsBlocked are instantaneous gauges: how many of
 	// the node's goroutines are parked inside a Send (mailbox full) or a
 	// Recv (no message) right now. A stall watchdog reads them to tell a
 	// hung communication from a hung disk.
-	SendsBlocked int64
-	RecvsBlocked int64
+	SendsBlocked int64 `json:"sends_blocked"`
+	RecvsBlocked int64 `json:"recvs_blocked"`
 	// Reconnects counts TCP connections this node redialed after a
 	// failure (the first dial of a connection is not a reconnect). Always
 	// zero on the in-process transport.
-	Reconnects int64
+	Reconnects int64 `json:"reconnects"`
 }
 
 // commCounters is the lock-free backing store for CommStats: the hot
@@ -718,12 +719,9 @@ func (n *Node) TryRecv(src int, tag int64) ([]byte, bool) {
 }
 
 // EmitMetrics feeds every node's communication counters to emit, one
-// sample per counter labeled by node rank. The signature matches what
-// fg.MetricsRegistry.RegisterFunc accepts, without this package importing
-// fg:
-//
-//	registry.RegisterFunc(func(emit fg.EmitFunc) { c.EmitMetrics(emit) })
-func (c *Cluster) EmitMetrics(emit func(name string, labels map[string]string, value float64)) {
+// sample per counter labeled by node rank, plus the failure detector's
+// counters when heartbeats are on. Observe registers it as a collector.
+func (c *Cluster) EmitMetrics(emit fg.EmitFunc) {
 	for _, n := range c.local {
 		s := n.Stats()
 		l := func() map[string]string {
@@ -742,6 +740,62 @@ func (c *Cluster) EmitMetrics(emit func(name string, labels map[string]string, v
 	}
 	if c.health != nil {
 		c.health.emitMetrics(emit)
+	}
+}
+
+// Observe wires the cluster into an fg observability bundle — the
+// cluster's counterpart of fg.Observe.Attach. With a Metrics registry the
+// cluster's counters (EmitMetrics) join every scrape and its peer health
+// the registry's /status; with a Tracer or FlightRecorder every local
+// node's blocking sends and receives land on that timeline as comm events.
+// The returned detach function (safe to repeat) undoes all of it, leaving
+// the counters' final values in the registry, so a long-lived bundle
+// neither keeps the cluster alive nor is fed by a dead one. A nil bundle
+// is a no-op.
+func (c *Cluster) Observe(o *fg.Observe) (detach func()) {
+	if o == nil {
+		return func() {}
+	}
+	reg, retire := o.Metrics, func() {}
+	if reg != nil {
+		retire = reg.RegisterFunc(c.EmitMetrics)
+		reg.RegisterPeerHealth(c.PeerHealth)
+	}
+	tr, fr := o.Tracer, o.Flight
+	traced := tr != nil || fr != nil
+	if traced {
+		for _, n := range c.local {
+			pipe := fmt.Sprintf("node%d", n.rank)
+			n.SetCommObserver(func(op string, peer, nbytes int, xfer int64, start, end time.Time) {
+				e := fg.Event{
+					Stage:    "comm." + op,
+					Pipeline: pipe,
+					Kind:     fg.EventComm,
+					Round:    -1,
+					Bytes:    int64(nbytes),
+					Xfer:     xfer,
+				}
+				if tr != nil {
+					e.Start, e.End = tr.Span(start, end)
+					tr.Record(e)
+				}
+				if fr != nil {
+					e.Start, e.End = fr.Span(start, end)
+					fr.Record(e)
+				}
+			})
+		}
+	}
+	return func() {
+		if traced {
+			for _, n := range c.local {
+				n.SetCommObserver(nil)
+			}
+		}
+		retire()
+		if reg != nil {
+			reg.RegisterPeerHealth(nil)
+		}
 	}
 }
 

@@ -19,6 +19,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/fg-go/fg/fg"
 )
 
 // conformanceBackends lists the transports under test, honouring the
@@ -519,7 +521,7 @@ func conformPeerDeath(t *testing.T, kind string) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("peer death did not release the blocked operations")
 	}
-	var dead *PeerStatus
+	var dead *fg.PeerHealth
 	for _, st := range c.PeerHealth() {
 		if st.Dead {
 			st := st

@@ -28,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/fg-go/fg/fg"
 )
 
 // ErrPeerDead is wrapped by the CommError that releases blocked operations
@@ -98,21 +100,12 @@ func (h HealthConfig) withDefaults() HealthConfig {
 	return h
 }
 
-// PeerStatus is one rank's liveness as this process sees it.
-type PeerStatus struct {
-	Rank     int
-	LastSeen time.Time
-	// Monitored reports whether this rank is a death-detection candidate
-	// here (remote, or locally partitioned). Unmonitored ranks are this
-	// process's own: they cannot die without taking the detector with them.
-	Monitored bool
-	Suspect   bool
-	Dead      bool
-}
-
 // PeerHealth returns every rank's liveness as this process sees it, or nil
-// when failure detection is disabled.
-func (c *Cluster) PeerHealth() []PeerStatus {
+// when failure detection is disabled. A rank is Monitored when it is a
+// death-detection candidate here (remote, or locally partitioned);
+// unmonitored ranks are this process's own, which cannot die without
+// taking the detector with them.
+func (c *Cluster) PeerHealth() []fg.PeerHealth {
 	if c.health == nil {
 		return nil
 	}
@@ -252,15 +245,16 @@ func (m *healthMonitor) declareDead(r int, silence time.Duration) {
 	m.c.AbortWith(err)
 }
 
-func (m *healthMonitor) snapshot() []PeerStatus {
-	out := make([]PeerStatus, m.c.P())
+func (m *healthMonitor) snapshot() []fg.PeerHealth {
+	now := time.Now()
+	out := make([]fg.PeerHealth, m.c.P())
 	for r := range out {
-		out[r] = PeerStatus{
-			Rank:      r,
-			LastSeen:  time.Unix(0, m.lastSeen[r].Load()),
-			Monitored: m.monitored(r),
-			Suspect:   m.suspect[r].Load(),
-			Dead:      m.dead[r].Load(),
+		out[r] = fg.PeerHealth{
+			Rank:        r,
+			LastSeenAge: now.Sub(time.Unix(0, m.lastSeen[r].Load())),
+			Monitored:   m.monitored(r),
+			Suspect:     m.suspect[r].Load(),
+			Dead:        m.dead[r].Load(),
 		}
 	}
 	return out
@@ -268,7 +262,7 @@ func (m *healthMonitor) snapshot() []PeerStatus {
 
 // emitMetrics reports the detector's counters; called from
 // Cluster.EmitMetrics.
-func (m *healthMonitor) emitMetrics(emit func(name string, labels map[string]string, value float64)) {
+func (m *healthMonitor) emitMetrics(emit fg.EmitFunc) {
 	suspects, deaths := 0, 0
 	for r := 0; r < m.c.P(); r++ {
 		if m.suspect[r].Load() {
@@ -285,7 +279,6 @@ func (m *healthMonitor) emitMetrics(emit func(name string, labels map[string]str
 	emit("cluster_peers_dead", none, float64(deaths))
 	// Per-peer rows, so a scrape of any one rank shows which peer went
 	// quiet, not just that one did.
-	now := time.Now()
 	for _, p := range m.snapshot() {
 		if !p.Monitored {
 			continue
@@ -293,7 +286,7 @@ func (m *healthMonitor) emitMetrics(emit func(name string, labels map[string]str
 		l := func() map[string]string {
 			return map[string]string{"peer": fmt.Sprintf("%d", p.Rank)}
 		}
-		emit("fg_peer_last_seen_seconds", l(), now.Sub(p.LastSeen).Seconds())
+		emit("fg_peer_last_seen_seconds", l(), p.LastSeenAge.Seconds())
 		emit("fg_peer_suspect", l(), b2f(p.Suspect))
 		emit("fg_peer_dead", l(), b2f(p.Dead))
 	}

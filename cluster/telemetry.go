@@ -27,11 +27,12 @@ package cluster
 // carrying a fresh stall report — so a hung fleet yields one correlated
 // bundle of evidence instead of N disconnected stderr dumps.
 //
-// Layering: this package cannot import fg, so the fg-side state (stage
-// stats, knob positions, watchdog taxonomy) enters through the Collect
-// callback, which internal/harness builds from the fg metrics registry.
-// The HTTP endpoints (/cluster/status.json, /cluster/metrics) live in the
-// harness for the same reason.
+// The record carries fg's own observation documents verbatim — the same
+// NetworkStatus a node-local /status.json serves, fg's StallReport,
+// KnobState and PeerHealth — so stage to fleet is one schema. The fg-side
+// state enters through the Collect callback, which internal/harness builds
+// from the run's metrics registry; the HTTP endpoints
+// (/cluster/status.json, /cluster/metrics) live in the harness too.
 
 import (
 	"bytes"
@@ -42,9 +43,12 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/fg-go/fg/fg"
 )
 
 // Reserved control tags for the telemetry plane, siblings of healthTag in
@@ -64,92 +68,10 @@ const (
 // TelemetryVersion is the wire-record version stamped into every
 // RankTelemetry. A receiver drops records from a newer version than it
 // understands (counted, never fatal), so mixed-version fleets degrade to
-// staleness instead of misdecoding.
-const TelemetryVersion = 1
-
-// StageRecord is one stage's state in a telemetry record: the watchdog's
-// classified taxonomy plus the counters the bottleneck analysis needs.
-type StageRecord struct {
-	Stage    string `json:"stage"`
-	Pipeline string `json:"pipeline"`
-	Network  string `json:"network"`
-	// State is one of the fg watchdog taxonomy strings: running,
-	// blocked-on-get, blocked-on-put, starved, done, idle.
-	State      string `json:"state"`
-	Rounds     int64  `json:"rounds"`
-	QueueLen   int    `json:"queue_len"`
-	QueueCap   int    `json:"queue_cap"`
-	SlowPushes int64  `json:"slow_pushes,omitempty"`
-	InStateNS  int64  `json:"in_state_ns"`
-	WorkNS     int64  `json:"work_ns"`
-	WaitNS     int64  `json:"wait_ns"`
-}
-
-// PipelineRecord is one pipeline's pool occupancy and progress.
-type PipelineRecord struct {
-	Name             string `json:"name"`
-	Network          string `json:"network"`
-	Rounds           int64  `json:"rounds"`
-	PoolIdle         int    `json:"pool_idle"`
-	PoolCap          int    `json:"pool_cap"`
-	Buffers          int    `json:"buffers"`
-	EffectiveBuffers int    `json:"effective_buffers"`
-}
-
-// KnobRecord is one autotuner worker knob's current position.
-type KnobRecord struct {
-	Stage   string `json:"stage"`
-	Workers int    `json:"workers"`
-}
-
-// PeerRecord is one rank's liveness as the reporting rank sees it — the
-// reporting process's own failure-detector state, shipped so the
-// aggregator can cross-correlate a stall on rank A with A's view of B.
-type PeerRecord struct {
-	Rank             int   `json:"rank"`
-	LastSeenUnixNano int64 `json:"last_seen_unix_nano"`
-	Monitored        bool  `json:"monitored"`
-	Suspect          bool  `json:"suspect,omitempty"`
-	Dead             bool  `json:"dead,omitempty"`
-}
-
-// CommRecord is the reporting rank's communication counters (CommStats,
-// flattened for the wire).
-type CommRecord struct {
-	MessagesSent  int64 `json:"messages_sent"`
-	BytesSent     int64 `json:"bytes_sent"`
-	MessagesRecvd int64 `json:"messages_recvd"`
-	BytesRecvd    int64 `json:"bytes_recvd"`
-	SendWaitNS    int64 `json:"send_wait_ns"`
-	RecvWaitNS    int64 `json:"recv_wait_ns"`
-	SendsBlocked  int64 `json:"sends_blocked"`
-	RecvsBlocked  int64 `json:"recvs_blocked"`
-	Reconnects    int64 `json:"reconnects"`
-}
-
-// BottleneckRecord names the stage governing one rank's wall clock, the
-// per-rank reduction of fg's BottleneckReport.
-type BottleneckRecord struct {
-	Network     string  `json:"network,omitempty"`
-	Stage       string  `json:"stage,omitempty"`
-	Pipeline    string  `json:"pipeline,omitempty"`
-	WorkNS      int64   `json:"work_ns"`
-	Utilization float64 `json:"utilization"`
-	Overlap     float64 `json:"overlap"`
-}
-
-// StallRecord is a watchdog stall report, reduced for the wire: the
-// culprit and its classification, not the goroutine dump (that is what the
-// pull RPC fetches on demand).
-type StallRecord struct {
-	Network         string `json:"network"`
-	Culprit         string `json:"culprit"`
-	CulpritPipeline string `json:"culprit_pipeline,omitempty"`
-	CulpritState    string `json:"culprit_state,omitempty"`
-	Reason          string `json:"reason,omitempty"`
-	StalledNS       int64  `json:"stalled_ns"`
-	AtUnixNano      int64  `json:"at_unix_nano"`
-}
+// staleness instead of misdecoding. Version 2 replaced version 1's
+// hand-rolled stage, pipeline, knob, peer, comm, bottleneck and stall
+// records with fg's documents.
+const TelemetryVersion = 2
 
 // RankTelemetry is the versioned wire record one rank publishes per
 // interval: everything the fleet view needs, nothing it can pull on
@@ -162,20 +84,46 @@ type RankTelemetry struct {
 	SentUnixNano int64  `json:"sent_unix_nano"`
 	Program      string `json:"program,omitempty"`
 
-	Stages    []StageRecord    `json:"stages,omitempty"`
-	Pipelines []PipelineRecord `json:"pipelines,omitempty"`
+	// Networks holds the status document of each of the rank's networks,
+	// exactly as the rank's own /status.json serves it.
+	Networks []fg.NetworkStatus `json:"networks,omitempty"`
 
-	Knobs       []KnobRecord `json:"knobs,omitempty"`
-	Adjustments int64        `json:"adjustments,omitempty"`
+	Knobs       []fg.KnobState `json:"knobs,omitempty"`
+	Adjustments int64          `json:"adjustments,omitempty"`
 
-	Peers []PeerRecord `json:"peers,omitempty"`
-	Comm  CommRecord   `json:"comm"`
+	Peers []fg.PeerHealth `json:"peers,omitempty"`
+	Comm  CommStats       `json:"comm"`
 
-	Bottleneck BottleneckRecord `json:"bottleneck"`
-	// Stall is the rank's most recent watchdog stall report, if any; it
-	// stays attached until the harness clears it (the network finished or
-	// progress resumed).
-	Stall *StallRecord `json:"stall,omitempty"`
+	// Stall is the rank's most recent watchdog stall report, if any, less
+	// its goroutine dump (the pull RPC fetches evidence on demand); it
+	// stays attached until the harness clears it (the network finished).
+	Stall *fg.StallReport `json:"stall,omitempty"`
+}
+
+// governing names the stage governing the rank's wall clock: the biggest
+// bottleneck among its running networks (old passes' finished networks
+// stay in the record and would otherwise dominate forever), or, once none
+// runs, among all of them, so a completed run still reports what governed
+// it.
+func (rec *RankTelemetry) governing() ClusterBottleneck {
+	var live, best ClusterBottleneck
+	for _, ns := range rec.Networks {
+		if ns.Bottleneck.Stage == "" {
+			continue
+		}
+		b := ClusterBottleneck{Rank: rec.Rank, Network: ns.Network, BottleneckReport: ns.Bottleneck}
+		if ns.Running && b.Work > live.Work {
+			live = b
+		}
+		if b.Work > best.Work {
+			best = b
+		}
+	}
+	if live.Stage != "" {
+		return live
+	}
+	best.Rank = rec.Rank
+	return best
 }
 
 // Pull kinds for Telemetry.Pull: what an aggregator can fetch from a
@@ -205,11 +153,11 @@ type TelemetryConfig struct {
 	// StaleAfter is the record age past which the fleet view marks a rank
 	// stale. Zero defaults to 3×Interval.
 	StaleAfter time.Duration
-	// Collect, if set, fills the fg-side fields of rank's record (stages,
-	// pipelines, knobs, bottleneck, stall). It runs on the telemetry
-	// goroutine once per local rank per interval and must be safe for
-	// concurrent use with the run it observes. Nil leaves those fields
-	// empty — comm counters and peer health still flow.
+	// Collect, if set, fills the fg-side fields of rank's record (network
+	// statuses, knobs, stall). It runs on the telemetry goroutine once per
+	// local rank per interval and must be safe for concurrent use with the
+	// run it observes. Nil leaves those fields empty — comm counters and
+	// peer health still flow.
 	Collect func(rank int) RankTelemetry
 	// Blackbox, if set, answers PullBlackbox requests by writing the
 	// rank's flight-recorder dump. Nil makes blackbox pulls error.
@@ -351,7 +299,7 @@ func (t *Telemetry) run() {
 	defer tick.Stop()
 	// Publish immediately so the fleet view warms in one interval, not
 	// two; a soak driver's first scrape should already see every rank.
-	t.publishOnce()
+	t.publish(1)
 	for {
 		select {
 		case <-t.stopc:
@@ -360,8 +308,11 @@ func (t *Telemetry) run() {
 			// job shorter than one interval would otherwise strand the
 			// aggregator with first-tick records — or, for a remote rank
 			// whose control connection was still dialing at the first
-			// publish, nothing at all.
-			t.flushFinal()
+			// publish, nothing at all. Remote deliveries retry briefly while
+			// the control connection finishes dialing, bounded (and abandoned
+			// outright on abort) so Close is never held up for more than a
+			// few tens of milliseconds by an unreachable aggregator.
+			t.publish(20)
 			return
 		case <-t.c.aborted:
 			// The job is dead; the aggregator's last records remain
@@ -370,16 +321,16 @@ func (t *Telemetry) run() {
 		case w := <-t.pulls:
 			t.goTracked(func() { t.servePull(w) })
 		case <-tick.C:
-			t.publishOnce()
+			t.publish(1)
 		}
 	}
 }
 
-// flushFinal publishes every local rank's record once more, briefly
-// retrying remote delivery while the control connection finishes dialing.
-// Bounded (and abandoned outright on abort) so it cannot hold up Close for
-// more than a few tens of milliseconds against an unreachable aggregator.
-func (t *Telemetry) flushFinal() {
+// publish snapshots and ships one record per local rank, trying each
+// remote delivery up to attempts times, 2ms apart. Errors are ignored:
+// telemetry is best-effort by contract, and a record that cannot be
+// delivered surfaces at the aggregator as staleness.
+func (t *Telemetry) publish(attempts int) {
 	for _, n := range t.c.local {
 		rec := t.snapshotRank(n)
 		if t.agg != nil {
@@ -392,9 +343,12 @@ func (t *Telemetry) flushFinal() {
 			continue
 		}
 		f := Frame{Src: n.rank, Dst: t.cfg.Aggregator, Tag: telemetryTag, Data: data}
-		for attempt := 0; attempt < 20; attempt++ {
+		for a := 1; ; a++ {
 			if t.c.transport.DeliverControl(f) == nil {
 				t.published.Add(1)
+				break
+			}
+			if a == attempts {
 				break
 			}
 			select {
@@ -402,28 +356,6 @@ func (t *Telemetry) flushFinal() {
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
-		}
-	}
-}
-
-// publishOnce snapshots and ships one record per local rank. Errors are
-// ignored: telemetry is best-effort by contract, and a record that cannot
-// be delivered surfaces at the aggregator as staleness.
-func (t *Telemetry) publishOnce() {
-	for _, n := range t.c.local {
-		rec := t.snapshotRank(n)
-		if t.agg != nil {
-			t.agg.ingestRecord(rec, time.Now())
-			t.published.Add(1)
-			continue
-		}
-		data, err := json.Marshal(&rec)
-		if err != nil {
-			continue
-		}
-		f := Frame{Src: n.rank, Dst: t.cfg.Aggregator, Tag: telemetryTag, Data: data}
-		if t.c.transport.DeliverControl(f) == nil {
-			t.published.Add(1)
 		}
 	}
 }
@@ -439,27 +371,8 @@ func (t *Telemetry) snapshotRank(n *Node) RankTelemetry {
 	rec.Rank = n.rank
 	rec.Seq = t.seq.Add(1)
 	rec.SentUnixNano = time.Now().UnixNano()
-	s := n.Stats()
-	rec.Comm = CommRecord{
-		MessagesSent:  s.MessagesSent,
-		BytesSent:     s.BytesSent,
-		MessagesRecvd: s.MessagesRecvd,
-		BytesRecvd:    s.BytesRecvd,
-		SendWaitNS:    int64(s.SendWait),
-		RecvWaitNS:    int64(s.RecvWait),
-		SendsBlocked:  s.SendsBlocked,
-		RecvsBlocked:  s.RecvsBlocked,
-		Reconnects:    s.Reconnects,
-	}
-	for _, p := range t.c.PeerHealth() {
-		rec.Peers = append(rec.Peers, PeerRecord{
-			Rank:             p.Rank,
-			LastSeenUnixNano: p.LastSeen.UnixNano(),
-			Monitored:        p.Monitored,
-			Suspect:          p.Suspect,
-			Dead:             p.Dead,
-		})
-	}
+	rec.Comm = n.Stats()
+	rec.Peers = t.c.PeerHealth()
 	return rec
 }
 
@@ -668,7 +581,7 @@ type rankEntry struct {
 	// Stall-triggered evidence: the blackbox auto-pulled when a record
 	// carrying a fresh stall arrived, keyed by the stall's timestamp so
 	// one episode pulls once.
-	pulledStall int64
+	pulledStall time.Time
 	pulling     bool
 	blackbox    []byte
 	blackboxErr string
@@ -690,8 +603,8 @@ func (a *TelemetryAggregator) ingestRecord(rec RankTelemetry, now time.Time) {
 	}
 	var pull bool
 	if rec.Stall != nil && !a.t.cfg.NoPullOnStall &&
-		rec.Stall.AtUnixNano > e.pulledStall && !e.pulling {
-		e.pulledStall = rec.Stall.AtUnixNano
+		rec.Stall.At.After(e.pulledStall) && !e.pulling {
+		e.pulledStall = rec.Stall.At
 		e.pulling = true
 		pull = true
 	}
@@ -749,22 +662,19 @@ type RankStatus struct {
 	Suspect bool `json:"suspect,omitempty"`
 	Dead    bool `json:"dead,omitempty"`
 	// Bottleneck is the rank's own governing stage, from its record.
-	Bottleneck BottleneckRecord `json:"bottleneck"`
-	Stall      *StallRecord     `json:"stall,omitempty"`
+	Bottleneck ClusterBottleneck `json:"bottleneck"`
 	// Record is the rank's full latest wire record.
 	Record *RankTelemetry `json:"record,omitempty"`
 }
 
-// ClusterBottleneck names the rank and stage governing the whole job: the
-// fleet-wide argmax of per-rank governing work. Rank is -1 when no rank
-// has reported any stage work.
+// ClusterBottleneck is fg's BottleneckReport placed in the fleet: the
+// stage governing one rank's wall clock (RankStatus) or, in the fleet
+// view, the whole job's — the fleet-wide argmax of per-rank governing
+// work. Rank is -1 when no rank has reported any stage work.
 type ClusterBottleneck struct {
-	Rank        int     `json:"rank"`
-	Network     string  `json:"network,omitempty"`
-	Stage       string  `json:"stage,omitempty"`
-	Pipeline    string  `json:"pipeline,omitempty"`
-	WorkNS      int64   `json:"work_ns"`
-	Utilization float64 `json:"utilization"`
+	Rank    int    `json:"rank"`
+	Network string `json:"network,omitempty"`
+	fg.BottleneckReport
 }
 
 func (b ClusterBottleneck) String() string {
@@ -772,8 +682,7 @@ func (b ClusterBottleneck) String() string {
 		return "cluster bottleneck: (no stage work reported)"
 	}
 	return fmt.Sprintf("cluster bottleneck: rank %d stage %q on %q (%s) work=%v util=%.0f%%",
-		b.Rank, b.Stage, b.Pipeline, b.Network,
-		time.Duration(b.WorkNS).Round(time.Millisecond), 100*b.Utilization)
+		b.Rank, b.Stage, b.Pipeline, b.Network, b.Work.Round(time.Millisecond), 100*b.Utilization)
 }
 
 // ClusterStatus is the fleet view document served at /cluster/status.json.
@@ -807,24 +716,20 @@ func (a *TelemetryAggregator) Status() ClusterStatus {
 		AtUnixNano:     now.UnixNano(),
 		Aborted:        a.t.c.Aborted(),
 	}
-	health := map[int]PeerStatus{}
-	for _, p := range a.t.c.PeerHealth() {
-		health[p.Rank] = p
-	}
+	health := a.t.c.PeerHealth() // indexed by rank; nil without detection
 	a.mu.Lock()
 	for r := 0; r < st.P; r++ {
 		rs := RankStatus{Rank: r}
-		if h, ok := health[r]; ok && h.Monitored {
-			rs.Suspect = h.Suspect
-			rs.Dead = h.Dead
+		if r < len(health) && health[r].Monitored {
+			rs.Suspect = health[r].Suspect
+			rs.Dead = health[r].Dead
 		}
 		if e, ok := a.ranks[r]; ok {
 			rec := e.rec
 			rs.Reported = true
 			rs.AgeNS = int64(now.Sub(e.arrived))
 			rs.Stale = rs.AgeNS > int64(a.t.cfg.StaleAfter)
-			rs.Bottleneck = rec.Bottleneck
-			rs.Stall = rec.Stall
+			rs.Bottleneck = rec.governing()
 			rs.Record = &rec
 		}
 		st.Ranks = append(st.Ranks, rs)
@@ -855,15 +760,9 @@ func clusterBottleneck(ranks []RankStatus) ClusterBottleneck {
 			if onlyFresh && rs.Stale {
 				continue
 			}
-			if rs.Bottleneck.WorkNS > best.WorkNS || best.Rank < 0 {
-				best = ClusterBottleneck{
-					Rank:        rs.Rank,
-					Network:     rs.Bottleneck.Network,
-					Stage:       rs.Bottleneck.Stage,
-					Pipeline:    rs.Bottleneck.Pipeline,
-					WorkNS:      rs.Bottleneck.WorkNS,
-					Utilization: rs.Bottleneck.Utilization,
-				}
+			if rs.Bottleneck.Work > best.Work || best.Rank < 0 {
+				best = rs.Bottleneck
+				best.Rank = rs.Rank
 			}
 		}
 	}
@@ -883,9 +782,10 @@ func clusterBottleneck(ranks []RankStatus) ClusterBottleneck {
 func diagnoseFleet(ranks []RankStatus) []string {
 	var out []string
 	for _, rs := range ranks {
-		if rs.Stall != nil {
+		if rs.Record != nil && rs.Record.Stall != nil {
+			stall := rs.Record.Stall
 			verb := "stalled"
-			switch rs.Stall.CulpritState {
+			switch culpritState(stall) {
 			case "blocked-on-put":
 				verb = "blocked-on-send"
 				if rs.Record != nil && rs.Record.Comm.RecvsBlocked > 0 && rs.Record.Comm.SendsBlocked == 0 {
@@ -895,8 +795,8 @@ func diagnoseFleet(ranks []RankStatus) []string {
 				verb = "blocked-on-recv"
 			}
 			line := fmt.Sprintf("rank %d stage %q %s for %v (%s)",
-				rs.Rank, rs.Stall.Culprit, verb,
-				time.Duration(rs.Stall.StalledNS).Round(time.Millisecond), rs.Stall.Network)
+				rs.Rank, stall.Culprit, verb,
+				stall.Stalled.Round(time.Millisecond), stall.Network)
 			if suspects := suspectPeers(rs); suspects != "" {
 				line += " — " + suspects
 			}
@@ -916,6 +816,16 @@ func diagnoseFleet(ranks []RankStatus) []string {
 	return out
 }
 
+// culpritState is the stall report's classification of its culprit stage.
+func culpritState(rep *fg.StallReport) string {
+	for _, s := range rep.Stages {
+		if s.Stage == rep.Culprit && s.Pipeline == rep.CulpritPipeline {
+			return s.State
+		}
+	}
+	return ""
+}
+
 // suspectPeers renders the stalled rank's own view of who went quiet.
 func suspectPeers(rs RankStatus) string {
 	if rs.Record == nil {
@@ -932,6 +842,10 @@ func suspectPeers(rs RankStatus) string {
 			sus = append(sus, strconv.Itoa(p.Rank))
 		}
 	}
+	join := func(ranks []string) string {
+		sort.Strings(ranks)
+		return strings.Join(ranks, ",")
+	}
 	switch {
 	case len(dead) > 0 && len(sus) > 0:
 		return fmt.Sprintf("it sees rank(s) %s dead and %s suspect", join(dead), join(sus))
@@ -943,49 +857,21 @@ func suspectPeers(rs RankStatus) string {
 	return ""
 }
 
-func join(s []string) string {
-	sort.Strings(s)
-	out := ""
-	for i, v := range s {
-		if i > 0 {
-			out += ","
-		}
-		out += v
-	}
-	return out
-}
-
 // EmitMetrics feeds the fleet view to emit as rank-labeled samples — the
-// /cluster/metrics collector. The signature matches what
-// fg.MetricsRegistry.RegisterFunc accepts, without this package importing
-// fg. Samples carry the fleet_ prefix to distinguish the aggregated view
-// from each process's node-local fg_/cluster_ series.
-func (a *TelemetryAggregator) EmitMetrics(emit func(name string, labels map[string]string, value float64)) {
+// /cluster/metrics collector. Samples carry the fleet_ prefix to
+// distinguish the aggregated view from each process's node-local
+// fg_/cluster_ series.
+func (a *TelemetryAggregator) EmitMetrics(emit fg.EmitFunc) {
 	st := a.Status()
 	rl := func(rank int) map[string]string {
 		return map[string]string{"rank": strconv.Itoa(rank)}
 	}
 	for _, rs := range st.Ranks {
-		fresh := 0.0
-		if rs.Reported && !rs.Stale {
-			fresh = 1
-		}
-		emit("fleet_rank_fresh", rl(rs.Rank), fresh)
+		emit("fleet_rank_fresh", rl(rs.Rank), b2f(rs.Reported && !rs.Stale))
 		emit("fleet_rank_age_seconds", rl(rs.Rank), time.Duration(rs.AgeNS).Seconds())
-		stalled := 0.0
-		if rs.Stall != nil {
-			stalled = 1
-		}
-		emit("fleet_rank_stalled", rl(rs.Rank), stalled)
-		suspect, dead := 0.0, 0.0
-		if rs.Suspect {
-			suspect = 1
-		}
-		if rs.Dead {
-			dead = 1
-		}
-		emit("fleet_rank_suspect", rl(rs.Rank), suspect)
-		emit("fleet_rank_dead", rl(rs.Rank), dead)
+		emit("fleet_rank_stalled", rl(rs.Rank), b2f(rs.Record != nil && rs.Record.Stall != nil))
+		emit("fleet_rank_suspect", rl(rs.Rank), b2f(rs.Suspect))
+		emit("fleet_rank_dead", rl(rs.Rank), b2f(rs.Dead))
 		if rs.Record == nil {
 			continue
 		}
@@ -1003,22 +889,31 @@ func (a *TelemetryAggregator) EmitMetrics(emit func(name string, labels map[stri
 			emit("fleet_autotune_workers",
 				map[string]string{"rank": strconv.Itoa(rs.Rank), "stage": k.Stage}, float64(k.Workers))
 		}
-		for _, s := range rec.Stages {
-			l := map[string]string{
-				"rank": strconv.Itoa(rs.Rank), "network": s.Network, "stage": s.Stage,
+		for _, ns := range rec.Networks {
+			// The series carry no pipeline label, so same-named stages of
+			// several pipelines (dsort pass 2's per-run readers) sum.
+			var names []string
+			sums := map[string]*fg.StageHealth{}
+			for _, s := range ns.Stages {
+				if sum := sums[s.Stage]; sum != nil {
+					sum.Work, sum.Rounds, sum.QueueLen = sum.Work+s.Work, sum.Rounds+s.Rounds, sum.QueueLen+s.QueueLen
+					continue
+				}
+				sums[s.Stage] = &s
+				names = append(names, s.Stage)
 			}
-			emit("fleet_stage_work_seconds_total", l, time.Duration(s.WorkNS).Seconds())
-			emit("fleet_stage_rounds_total", l, float64(s.Rounds))
-			emit("fleet_stage_queue_len", l, float64(s.QueueLen))
+			for _, name := range names {
+				s := sums[name]
+				l := map[string]string{"rank": strconv.Itoa(rs.Rank), "network": ns.Network, "stage": name}
+				emit("fleet_stage_work_seconds_total", l, s.Work.Seconds())
+				emit("fleet_stage_rounds_total", l, float64(s.Rounds))
+				emit("fleet_stage_queue_len", l, float64(s.QueueLen))
+			}
 		}
-		emit("fleet_bottleneck_work_seconds", rl(rs.Rank), time.Duration(rs.Bottleneck.WorkNS).Seconds())
+		emit("fleet_bottleneck_work_seconds", rl(rs.Rank), rs.Bottleneck.Work.Seconds())
 	}
 	for _, rs := range st.Ranks {
-		governing := 0.0
-		if rs.Rank == st.Bottleneck.Rank {
-			governing = 1
-		}
-		emit("fleet_bottleneck_governing", rl(rs.Rank), governing)
+		emit("fleet_bottleneck_governing", rl(rs.Rank), b2f(rs.Rank == st.Bottleneck.Rank))
 	}
 	emit("fleet_telemetry_decode_errors_total", map[string]string{}, float64(a.t.decodeErrs.Load()))
 }

@@ -45,7 +45,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tel.publishOnce()
+			tel.publish(1)
 		}
 	})
 

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/fg-go/fg/fg"
 )
 
 // startTestTelemetry opens an all-local inproc cluster with the telemetry
@@ -80,9 +82,12 @@ func TestTelemetryPublishesAllRanks(t *testing.T) {
 		Collect: func(rank int) RankTelemetry {
 			return RankTelemetry{
 				Program: "test",
-				Bottleneck: BottleneckRecord{
-					Network: "test@0", Stage: "merge", Pipeline: "p", WorkNS: int64(rank+1) * 1e6,
-				},
+				Networks: []fg.NetworkStatus{{
+					Network: "test@0", Running: true,
+					Bottleneck: fg.BottleneckReport{
+						Stage: "merge", Pipeline: "p", Work: time.Duration(rank+1) * time.Millisecond,
+					},
+				}},
 			}
 		},
 	})
@@ -192,9 +197,9 @@ func TestTelemetrySeqRegression(t *testing.T) {
 // may (best evidence available).
 func TestClusterBottleneckPrefersFresh(t *testing.T) {
 	stale := RankStatus{Rank: 0, Reported: true, Stale: true,
-		Bottleneck: BottleneckRecord{Stage: "huge", WorkNS: 100}}
+		Bottleneck: ClusterBottleneck{BottleneckReport: fg.BottleneckReport{Stage: "huge", Work: 100}}}
 	fresh := RankStatus{Rank: 1, Reported: true,
-		Bottleneck: BottleneckRecord{Stage: "small", WorkNS: 10}}
+		Bottleneck: ClusterBottleneck{BottleneckReport: fg.BottleneckReport{Stage: "small", Work: 10}}}
 	b := clusterBottleneck([]RankStatus{stale, fresh})
 	if b.Rank != 1 || b.Stage != "small" {
 		t.Fatalf("governing %+v, want fresh rank 1", b)
@@ -219,12 +224,13 @@ func TestDiagnoseFleetCrossCorrelation(t *testing.T) {
 	stalled := RankStatus{
 		Rank:     2,
 		Reported: true,
-		Stall: &StallRecord{
-			Network: "dsort.p2@2", Culprit: "merge", CulpritState: "blocked-on-get",
-			StalledNS: int64(3 * time.Second),
-		},
 		Record: &RankTelemetry{
-			Peers: []PeerRecord{
+			Stall: &fg.StallReport{
+				Network: "dsort.p2@2", Culprit: "merge",
+				Stages:  []fg.StageHealth{{Stage: "merge", State: fg.HealthBlockedOnGet}},
+				Stalled: 3 * time.Second,
+			},
+			Peers: []fg.PeerHealth{
 				{Rank: 5, Monitored: true, Dead: true},
 				{Rank: 3, Monitored: true, Suspect: true},
 				{Rank: 0, Monitored: false, Dead: true}, // unmonitored: ignored
@@ -248,8 +254,11 @@ func TestDiagnoseFleetCrossCorrelation(t *testing.T) {
 	// blocked receives reads blocked-on-recv, not blocked-on-send.
 	recvBound := RankStatus{
 		Rank: 1, Reported: true,
-		Stall:  &StallRecord{Network: "n@1", Culprit: "commio", CulpritState: "blocked-on-put"},
-		Record: &RankTelemetry{Comm: CommRecord{RecvsBlocked: 2}},
+		Record: &RankTelemetry{
+			Stall: &fg.StallReport{Network: "n@1", Culprit: "commio",
+				Stages: []fg.StageHealth{{Stage: "commio", State: fg.HealthBlockedOnPut}}},
+			Comm: CommStats{RecvsBlocked: 2},
+		},
 	}
 	lines = diagnoseFleet([]RankStatus{recvBound})
 	if !strings.Contains(strings.Join(lines, "\n"), "blocked-on-recv") {
@@ -303,7 +312,7 @@ func TestTelemetryStallAutoPull(t *testing.T) {
 	agg := tel.Aggregator()
 	rec := RankTelemetry{
 		V: TelemetryVersion, Rank: 0, Seq: 1000,
-		Stall: &StallRecord{Network: "n@0", Culprit: "merge", AtUnixNano: time.Now().UnixNano()},
+		Stall: &fg.StallReport{Network: "n@0", Culprit: "merge", At: time.Now()},
 	}
 	agg.ingestRecord(rec, time.Now())
 	deadline := time.Now().Add(5 * time.Second)

@@ -1,11 +1,13 @@
 package fg
 
 import (
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,19 +15,18 @@ import (
 	"time"
 )
 
-// Live metrics. A MetricsRegistry turns Network.Stats snapshots (and any
-// extra collectors, such as the cluster's communication counters) into
-// metric samples on demand, and serves them in Prometheus text format over
-// HTTP. The underlying counters are the same lock-free atomics Stats reads,
-// so scraping a registry mid-run is cheap and safe and a network that never
-// registers pays nothing. All registries also appear under the process-wide
-// expvar variable "fg" (at /debug/vars), published once, lazily.
+// Live metrics. A MetricsRegistry turns network snapshots (and extra
+// collectors, such as the cluster's communication counters) into metric
+// samples on demand and serves them in Prometheus text format. A network
+// is read live — the same lock-free atomics Stats reads — until its run
+// finishes; then the registry keeps only its final NetworkStats, keyed by
+// network name, so a long-lived registry neither pins finished networks
+// nor duplicates a name that runs again. A retired collector likewise
+// leaves only its final samples behind.
 
 // An EmitFunc receives one metric sample. Collectors registered with
 // RegisterFunc call it once per sample; the labels map must not be retained
-// or mutated after the call. The signature is plain (no fg types) so
-// packages that must not import fg — the cluster, say — can still feed a
-// registry.
+// or mutated after the call.
 type EmitFunc func(name string, labels map[string]string, value float64)
 
 // A Sample is one metric observation in a registry snapshot.
@@ -37,53 +38,68 @@ type Sample struct {
 
 // A MetricsRegistry collects samples from registered networks and
 // collector functions. The zero value is unusable; create with
-// NewMetricsRegistry. Registries are meant to be few and long-lived (one
-// per program, typically), not one per pass.
+// NewMetricsRegistry. A registry may be long-lived and shared by many
+// runs: finished networks and retired collectors leave only their final
+// values in it.
 type MetricsRegistry struct {
 	mu      sync.Mutex
-	nets    []*Network
-	funcs   []func(EmitFunc)
+	nets    []netEntry
+	funcs   []*registeredFunc
+	frozen  []Sample // final samples of retired collectors, one per series
 	tracers []*Tracer
 	tuners  []*AutoTuner
 	peers   func() []PeerHealth
 }
 
-var (
-	regMu      sync.Mutex
-	registries []*MetricsRegistry
-	expvarOnce sync.Once
-)
-
-// NewMetricsRegistry creates a registry and links it into the process-wide
-// expvar export: the variable "fg" (served by expvar's /debug/vars) renders
-// every live registry's samples.
-func NewMetricsRegistry() *MetricsRegistry {
-	r := &MetricsRegistry{}
-	regMu.Lock()
-	registries = append(registries, r)
-	regMu.Unlock()
-	expvarOnce.Do(func() {
-		expvar.Publish("fg", expvar.Func(func() any {
-			regMu.Lock()
-			regs := append([]*MetricsRegistry(nil), registries...)
-			regMu.Unlock()
-			all := []Sample{}
-			for _, r := range regs {
-				all = append(all, r.Samples()...)
-			}
-			return all
-		}))
-	})
-	return r
+// A netEntry is one network name's slot: the live network while it runs,
+// its final snapshot once it has finished.
+type netEntry struct {
+	name  string
+	live  *Network
+	final NetworkStats
 }
+
+func (e netEntry) stats() NetworkStats {
+	if e.live != nil {
+		return e.live.Stats()
+	}
+	return e.final
+}
+
+type registeredFunc struct{ f func(EmitFunc) }
+
+// NewMetricsRegistry creates an empty registry.
+func NewMetricsRegistry() *MetricsRegistry { return &MetricsRegistry{} }
 
 // RegisterNetwork adds a network to the registry. Its per-stage and
 // per-pipeline statistics appear in every subsequent snapshot, live during
-// Run and frozen at their totals after.
+// Run and frozen at their totals after. A network registered under the
+// name of an earlier one replaces it.
 func (r *MetricsRegistry) RegisterNetwork(nw *Network) {
 	r.mu.Lock()
-	r.nets = append(r.nets, nw)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	e := netEntry{name: nw.name, live: nw}
+	for i := range r.nets {
+		if r.nets[i].name == nw.name {
+			r.nets[i] = e
+			return
+		}
+	}
+	r.nets = append(r.nets, e)
+}
+
+// retire replaces a registered network by its final snapshot, releasing
+// the network itself. Observe.Attach's finish calls it once Run returns; a
+// network already replaced under its name is left alone.
+func (r *MetricsRegistry) retire(nw *Network, final NetworkStats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.nets {
+		if r.nets[i].live == nw {
+			r.nets[i] = netEntry{name: nw.name, final: final}
+			return
+		}
+	}
 }
 
 // RegisterTracer adds a tracer to the registry: its dropped-event count
@@ -91,33 +107,11 @@ func (r *MetricsRegistry) RegisterNetwork(nw *Network) {
 // is truncated without parsing the trace. Registering the same tracer again
 // is a no-op (Observe.Attach registers its tracer once per network).
 func (r *MetricsRegistry) RegisterTracer(tr *Tracer) {
-	if tr == nil {
-		return
+	if tr != nil {
+		r.mu.Lock()
+		r.tracers = appendNew(r.tracers, tr)
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, have := range r.tracers {
-		if have == tr {
-			return
-		}
-	}
-	r.tracers = append(r.tracers, tr)
-}
-
-// Networks returns the currently registered networks, in registration
-// order — the seam the cluster-telemetry collector reads live stats
-// through without the registry knowing about ranks.
-func (r *MetricsRegistry) Networks() []*Network {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*Network(nil), r.nets...)
-}
-
-// Tuners returns the currently registered auto-tuners.
-func (r *MetricsRegistry) Tuners() []*AutoTuner {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*AutoTuner(nil), r.tuners...)
 }
 
 // RegisterTuner adds an auto-tuner to the registry: its adjustment count
@@ -126,26 +120,55 @@ func (r *MetricsRegistry) Tuners() []*AutoTuner {
 // tuner has moved the knobs without grepping logs. Registering the same
 // tuner again (or nil) is a no-op.
 func (r *MetricsRegistry) RegisterTuner(t *AutoTuner) {
-	if t == nil {
-		return
+	if t != nil {
+		r.mu.Lock()
+		r.tuners = appendNew(r.tuners, t)
+		r.mu.Unlock()
 	}
+}
+
+// appendNew appends v to s unless s already holds it.
+func appendNew[T comparable](s []T, v T) []T {
+	if slices.Contains(s, v) {
+		return s
+	}
+	return append(s, v)
+}
+
+// Snapshot returns what the registry observes as fg's own documents: the
+// status of every registered network in registration order (live while it
+// runs, final after), the position of every tuner knob (a stage tuned by
+// several tuners reports the newest one's), and the tuners' total
+// adjustment count. It is the seam the cluster telemetry collector reads.
+func (r *MetricsRegistry) Snapshot() (nets []NetworkStatus, knobs []KnobState, adjustments int64) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, have := range r.tuners {
-		if have == t {
-			return
+	entries := append([]netEntry(nil), r.nets...)
+	tuners := append([]*AutoTuner(nil), r.tuners...)
+	r.mu.Unlock()
+	nets = make([]NetworkStatus, len(entries))
+	for i, e := range entries {
+		nets[i] = statusOf(e.stats())
+	}
+	at := map[string]int{}
+	for _, t := range tuners {
+		adjustments += t.Adjustments()
+		for _, k := range t.KnobStates() {
+			if i, ok := at[k.Stage]; ok {
+				knobs[i] = k
+				continue
+			}
+			at[k.Stage] = len(knobs)
+			knobs = append(knobs, k)
 		}
 	}
-	r.tuners = append(r.tuners, t)
+	return nets, knobs, adjustments
 }
 
 // RegisterPeerHealth installs a source of cluster peer liveness, replacing
 // any previous one: the snapshot appears in /status (text), /status.json
 // (a "peers" section), and nowhere in /metrics — the cluster's own
 // collector emits the fg_peer_* series. The function must be safe to call
-// from any goroutine; nil removes the source. The signature is fg-typed so
-// the harness adapts cluster.PeerHealth without this package importing the
-// cluster.
+// from any goroutine; nil removes the source.
 func (r *MetricsRegistry) RegisterPeerHealth(f func() []PeerHealth) {
 	r.mu.Lock()
 	r.peers = f
@@ -164,30 +187,50 @@ func (r *MetricsRegistry) peerHealth() []PeerHealth {
 }
 
 // RegisterFunc adds a collector called on every snapshot. Collectors must
-// be safe to call from any goroutine.
-func (r *MetricsRegistry) RegisterFunc(f func(EmitFunc)) {
+// be safe to call from any goroutine. The returned retire function (safe
+// to call more than once) calls the collector one last time and keeps
+// those final samples in its place, so the registry stops referencing
+// whatever the collector reads. Where collectors emit the same series
+// (name and label set) — a retired cluster's and the next run's, say — the
+// newest registration's sample is the one reported.
+func (r *MetricsRegistry) RegisterFunc(f func(EmitFunc)) (retire func()) {
 	if f == nil {
-		return
+		return func() {}
 	}
+	c := &registeredFunc{f: f}
 	r.mu.Lock()
-	r.funcs = append(r.funcs, f)
+	r.funcs = append(r.funcs, c)
 	r.mu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			var final []Sample
+			f(func(name string, labels map[string]string, value float64) {
+				final = append(final, Sample{Name: name, Labels: labels, Value: value})
+			})
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			r.funcs = slices.DeleteFunc(r.funcs, func(have *registeredFunc) bool { return have == c })
+			r.frozen = latest(append(r.frozen, final...))
+		})
+	}
 }
 
 // Samples takes a snapshot of every registered source.
 func (r *MetricsRegistry) Samples() []Sample {
 	r.mu.Lock()
-	nets := append([]*Network(nil), r.nets...)
-	funcs := append([]func(EmitFunc){}, r.funcs...)
+	nets := append([]netEntry(nil), r.nets...)
+	funcs := append([]*registeredFunc(nil), r.funcs...)
+	frozen := append([]Sample(nil), r.frozen...)
 	tracers := append([]*Tracer(nil), r.tracers...)
 	tuners := append([]*AutoTuner(nil), r.tuners...)
 	r.mu.Unlock()
-	var out []Sample
+	out := []Sample{}
 	emit := func(name string, labels map[string]string, value float64) {
 		out = append(out, Sample{Name: name, Labels: labels, Value: value})
 	}
-	for _, nw := range nets {
-		emitNetwork(nw.Stats(), emit)
+	for _, e := range nets {
+		emitNetwork(e.stats(), emit)
 	}
 	for i, tr := range tracers {
 		emit("fg_trace_dropped_total",
@@ -201,8 +244,29 @@ func (r *MetricsRegistry) Samples() []Sample {
 				map[string]string{"tuner": strconv.Itoa(i), "stage": k.Stage}, float64(k.Workers))
 		}
 	}
-	for _, f := range funcs {
-		f(emit)
+	// Network, tracer and tuner series are unique by construction; only
+	// collectors can repeat a series, so only their samples are deduplicated.
+	n := len(out)
+	out = append(out, frozen...)
+	for _, c := range funcs {
+		c.f(emit)
+	}
+	return append(out[:n], latest(out[n:])...)
+}
+
+// latest keeps one sample per series (name and label set): the last one
+// emitted, at the position of the first.
+func latest(samples []Sample) []Sample {
+	at := make(map[string]int, len(samples))
+	out := samples[:0]
+	for _, s := range samples {
+		key := s.Name + labelString(s.Labels)
+		if i, ok := at[key]; ok {
+			out[i] = s
+			continue
+		}
+		at[key] = len(out)
+		out = append(out, s)
 	}
 	return out
 }
@@ -285,6 +349,21 @@ var metricHelp = map[string]string{
 	"fleet_bottleneck_work_seconds":       "work of the stage governing the rank's wall clock",
 	"fleet_bottleneck_governing":          "1 for the rank whose governing stage governs the whole job",
 	"fleet_telemetry_decode_errors_total": "inbound telemetry records dropped as undecodable or newer-version",
+	// Emitted by the fgd daemon's ledger (service.Server), alongside every
+	// running job's samples labeled with its job ID.
+	"fgd_up":                   "1 while the daemon serves, 0 once draining",
+	"fgd_uptime_seconds":       "daemon uptime",
+	"fgd_jobs_submitted_total": "job submissions received, accepted or not",
+	"fgd_jobs_accepted_total":  "job submissions admitted to the queue",
+	"fgd_jobs_rejected_total":  "job submissions rejected, by reason",
+	"fgd_jobs_done_total":      "jobs finished successfully",
+	"fgd_jobs_failed_total":    "jobs finished with an error",
+	"fgd_jobs_cancelled_total": "jobs cancelled by clients or a drain",
+	"fgd_jobs_running":         "jobs currently running networks",
+	"fgd_jobs_running_max":     "high-water mark of concurrently running jobs",
+	"fgd_queue_depth":          "jobs waiting in the admission queue",
+	"fgd_queue_cap":            "admission queue capacity",
+	"fgd_pool_workers":         "size of the shared kernel worker pool",
 }
 
 // WritePrometheus writes the current samples in Prometheus text exposition
@@ -360,16 +439,15 @@ func (r *MetricsRegistry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 // A MetricsServer is a running metrics HTTP endpoint; see
 // MetricsRegistry.Serve and Network.ServeMetrics.
 type MetricsServer struct {
-	registry *MetricsRegistry
-	ln       net.Listener
-	srv      *http.Server
+	ln  net.Listener
+	srv *http.Server
 }
 
 // Serve starts an HTTP server on addr (host:port; :0 picks a free port)
 // exposing the registry at /metrics (Prometheus text format), live network
-// health at /status (text) and /status.json, and the process's expvar
-// state at /debug/vars. It returns immediately; use Addr for the bound
-// address and Close to stop.
+// health at /status (text) and /status.json, and at /debug/vars the
+// process's expvar globals plus this registry's samples under "fg". It
+// returns immediately; use Addr for the bound address and Close to stop.
 func (r *MetricsRegistry) Serve(addr string) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -379,15 +457,27 @@ func (r *MetricsRegistry) Serve(addr string) (*MetricsServer, error) {
 	mux.Handle("/metrics", r)
 	mux.Handle("/status", r.StatusTextHandler())
 	mux.Handle("/status.json", r.StatusJSONHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/vars", r.serveVars)
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
-	return &MetricsServer{registry: r, ln: ln, srv: srv}, nil
+	return &MetricsServer{ln: ln, srv: srv}, nil
 }
 
-// Registry returns the registry the server exposes, for registering
-// further networks or collectors while serving.
-func (ms *MetricsServer) Registry() *MetricsRegistry { return ms.registry }
+// serveVars renders expvar's document — every published variable — with
+// the registry's samples added under the key "fg".
+func (r *MetricsRegistry) serveVars(w http.ResponseWriter, _ *http.Request) {
+	fgVars, err := json.Marshal(r.Samples())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	fmt.Fprintf(w, "{\n")
+	expvar.Do(func(kv expvar.KeyValue) {
+		fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value)
+	})
+	fmt.Fprintf(w, "%q: %s\n}\n", "fg", fgVars)
+}
 
 // Addr returns the server's bound address.
 func (ms *MetricsServer) Addr() string { return ms.ln.Addr().String() }

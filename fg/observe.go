@@ -46,11 +46,12 @@ func (o *Observe) AttachTuner(t *AutoTuner) {
 // attached, the network (and tracer) registered with the metrics registry,
 // and the watchdog started, all before Run. The returned finish function
 // is to be called (typically deferred) once Run has returned; it stops the
-// watchdog and delivers the final snapshot to OnStats — exactly once, even
-// if called again (a runner that both defers it and calls it on an error
-// path, or a Run that returns a *PanicError, must not double-report).
-// Attach on a nil Observe is a no-op, and the finish function is never
-// nil:
+// watchdog, replaces the network in the registry by its final snapshot (so
+// the registry does not keep the network alive), and delivers that
+// snapshot to OnStats — exactly once, even if called again (a runner that
+// both defers it and calls it on an error path, or a Run that returns a
+// *PanicError, must not double-report). Attach on a nil Observe is a
+// no-op, and the finish function is never nil:
 //
 //	finish := cfg.Observe.Attach(nw)
 //	defer finish()
@@ -65,9 +66,10 @@ func (o *Observe) Attach(nw *Network) func() {
 	if o.Flight != nil {
 		nw.SetFlightRecorder(o.Flight)
 	}
-	if o.Metrics != nil {
-		o.Metrics.RegisterNetwork(nw)
-		o.Metrics.RegisterTracer(o.Tracer)
+	reg := o.Metrics
+	if reg != nil {
+		reg.RegisterNetwork(nw)
+		reg.RegisterTracer(o.Tracer)
 	}
 	var dog *Watchdog
 	if o.Watchdog != nil {
@@ -80,8 +82,12 @@ func (o *Observe) Attach(nw *Network) func() {
 			if dog != nil {
 				dog.Stop()
 			}
+			st := nw.Stats()
+			if reg != nil {
+				reg.retire(nw, st)
+			}
 			if fn != nil {
-				fn(nw.Stats())
+				fn(st)
 			}
 		})
 	}

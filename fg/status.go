@@ -34,8 +34,10 @@ type NetworkStatus struct {
 // Status snapshots the network's live health: per-stage classified states,
 // rounds, utilization, and the current bottleneck. Safe to call at any
 // time, including while Run is in flight.
-func (nw *Network) Status() NetworkStatus {
-	st := nw.Stats()
+func (nw *Network) Status() NetworkStatus { return statusOf(nw.Stats()) }
+
+// statusOf derives the health document from a stats snapshot.
+func statusOf(st NetworkStats) NetworkStatus {
 	ns := NetworkStatus{
 		Network:    st.Name,
 		Running:    st.Running,
@@ -74,10 +76,10 @@ func (s NetworkStatus) String() string {
 	return b.String()
 }
 
-// PeerHealth is one cluster peer's liveness in the node-local status
-// document — the fg-typed mirror of cluster.PeerStatus, registered via
-// MetricsRegistry.RegisterPeerHealth so /status answers "who went quiet"
-// without this package importing the cluster.
+// PeerHealth is one cluster peer's liveness as this process sees it: the
+// cluster's failure-detector snapshot (cluster.PeerHealth), registered via
+// MetricsRegistry.RegisterPeerHealth so /status answers "who went quiet",
+// and shipped as is in the cluster's telemetry records.
 type PeerHealth struct {
 	Rank int `json:"rank"`
 	// LastSeenAge is how long ago the peer's last heartbeat arrived.
@@ -97,18 +99,6 @@ type statusDoc struct {
 	Peers    []PeerHealth    `json:"peers"`
 }
 
-// statusSnapshots builds one status document per registered network.
-func (r *MetricsRegistry) statusSnapshots() []NetworkStatus {
-	r.mu.Lock()
-	nets := append([]*Network(nil), r.nets...)
-	r.mu.Unlock()
-	out := make([]NetworkStatus, len(nets))
-	for i, nw := range nets {
-		out[i] = nw.Status()
-	}
-	return out
-}
-
 // StatusJSONHandler serves every registered network's status as JSON, for
 // dashboards and scripts: a bare array of network documents, or — once a
 // peer-health source is registered — an object with "networks" and
@@ -116,11 +106,12 @@ func (r *MetricsRegistry) statusSnapshots() []NetworkStatus {
 func (r *MetricsRegistry) StatusJSONHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		nets, _, _ := r.Snapshot()
+		var doc any = nets
 		if peers := r.peerHealth(); peers != nil {
-			_ = json.NewEncoder(w).Encode(statusDoc{Networks: r.statusSnapshots(), Peers: peers})
-			return
+			doc = statusDoc{Networks: nets, Peers: peers}
 		}
-		_ = json.NewEncoder(w).Encode(r.statusSnapshots())
+		_ = json.NewEncoder(w).Encode(doc)
 	})
 }
 
@@ -129,7 +120,7 @@ func (r *MetricsRegistry) StatusJSONHandler() http.Handler {
 func (r *MetricsRegistry) StatusTextHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		snaps := r.statusSnapshots()
+		snaps, _, _ := r.Snapshot()
 		if len(snaps) == 0 {
 			fmt.Fprintln(w, "(no networks registered)")
 			return
@@ -151,13 +142,4 @@ func (r *MetricsRegistry) StatusTextHandler() http.Handler {
 				p.Rank, state, p.LastSeenAge.Round(time.Millisecond))
 		}
 	})
-}
-
-// ServeStatus starts an HTTP endpoint for this network's live health: a
-// fresh registry with the network registered, served on addr (":0" picks a
-// free port). The server exposes /status (text), /status.json, /metrics,
-// and /debug/vars — the same mux MetricsRegistry.Serve mounts. May be
-// called before or during Run.
-func (nw *Network) ServeStatus(addr string) (*MetricsServer, error) {
-	return nw.ServeMetrics(addr)
 }

@@ -21,7 +21,7 @@ func TestStatusEndpointMidRun(t *testing.T) {
 		}
 		return nil
 	})
-	srv, err := nw.ServeStatus("127.0.0.1:0")
+	srv, err := nw.ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,6 +72,11 @@ type StageHealth struct {
 	// one a breach of the sized-to-never-fill invariant.
 	SlowPushes int64         `json:"slow_pushes,omitempty"`
 	InState    time.Duration `json:"in_state_ns"` // time since the last state transition
+	// Work and AcceptWait are the stage's totals so far (see StageStats):
+	// the paper's work/wait split, carried so the document alone names
+	// what governs the wall clock.
+	Work       time.Duration `json:"work_ns"`
+	AcceptWait time.Duration `json:"wait_ns"`
 	// Utilization is Work/Wall, filled by the status endpoint (zero in
 	// watchdog reports, where wall time is beside the point).
 	Utilization float64 `json:"utilization,omitempty"`
@@ -80,6 +85,9 @@ type StageHealth struct {
 // A StallReport describes a network that has made no progress for a while.
 type StallReport struct {
 	Network string `json:"network"`
+	// At is when the watchdog detected the stall; it identifies the
+	// episode (a network that recovers and stalls again reports anew).
+	At time.Time `json:"at"`
 	// Stalled is how long the network has gone with zero global progress.
 	Stalled time.Duration `json:"stalled_ns"`
 	// Culprit names the suspected stage: the blocked-on-put stage furthest
@@ -146,6 +154,8 @@ func classifyStages(st NetworkStats, stuckFor time.Duration) []StageHealth {
 			QueueCap:   s.QueueCap,
 			SlowPushes: s.SlowPushes,
 			InState:    s.InState,
+			Work:       s.Work,
+			AcceptWait: s.AcceptWait,
 		}
 		switch s.State {
 		case StageIdle:
@@ -170,14 +180,6 @@ func classifyStages(st NetworkStats, stuckFor time.Duration) []StageHealth {
 		out[i] = h
 	}
 	return out
-}
-
-// Classify maps the snapshot onto the watchdog's health taxonomy: a stage
-// parked longer than stuckFor reads blocked (on-get in an accept, on-put
-// inside its function), shorter parks read running. It is the exported
-// seam the cluster-telemetry collector uses to ship each stage's state.
-func (s NetworkStats) Classify(stuckFor time.Duration) []StageHealth {
-	return classifyStages(s, stuckFor)
 }
 
 // diagnose picks the culprit among classified stages (which are in
@@ -261,8 +263,8 @@ func goroutineExcerpt(network string, maxBytes int) string {
 }
 
 // buildStallReport assembles the full report from a snapshot.
-func buildStallReport(st NetworkStats, stalled time.Duration) StallReport {
-	rep := StallReport{Network: st.Name, Stalled: stalled}
+func buildStallReport(st NetworkStats, at time.Time, stalled time.Duration) StallReport {
+	rep := StallReport{Network: st.Name, At: at, Stalled: stalled}
 	// Any park older than the stall span predates the last progress; use
 	// half the span so transitions racing the snapshot still classify.
 	rep.Stages = classifyStages(st, stalled/2)
@@ -349,7 +351,7 @@ func (w *Watchdog) run(nw *Network, cfg WatchdogConfig) {
 		reported = true
 		w.fired.Add(1)
 		if cfg.OnStall != nil {
-			cfg.OnStall(buildStallReport(st, stalled))
+			cfg.OnStall(buildStallReport(st, now, stalled))
 		}
 	}
 }

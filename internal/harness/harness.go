@@ -135,101 +135,38 @@ func (pr *Params) ensureTelemetryObserve() {
 	pr.Observe = &o
 }
 
-// instrument wires the Observe bundle into a freshly built cluster. The
-// returned detach function removes the per-node communication observers;
-// call it when the run is over so a long-lived tracer is not fed by a dead
-// cluster.
-func (pr Params) instrument(c *cluster.Cluster) func() {
-	o := pr.Observe
-	detachTelemetry := pr.startTelemetry(c)
-	if o == nil {
-		return detachTelemetry
-	}
-	if o.Metrics != nil {
-		o.Metrics.RegisterFunc(func(emit fg.EmitFunc) { c.EmitMetrics(emit) })
-		o.Metrics.RegisterPeerHealth(func() []fg.PeerHealth {
-			ps := c.PeerHealth()
-			if len(ps) == 0 {
-				return nil
-			}
-			now := time.Now()
-			out := make([]fg.PeerHealth, len(ps))
-			for i, p := range ps {
-				out[i] = fg.PeerHealth{
-					Rank:        p.Rank,
-					LastSeenAge: now.Sub(p.LastSeen),
-					Monitored:   p.Monitored,
-					Suspect:     p.Suspect,
-					Dead:        p.Dead,
-				}
-			}
-			return out
-		})
-		prevDetach := detachTelemetry
-		detachTelemetry = func() {
-			o.Metrics.RegisterPeerHealth(nil)
-			prevDetach()
-		}
-	}
-	tr := o.Tracer
-	fr := o.Flight
-	if tr == nil && fr == nil {
-		return detachTelemetry
-	}
-	for _, n := range c.Local() {
-		pipe := fmt.Sprintf("node%d", n.Rank())
-		n.SetCommObserver(func(op string, peer, nbytes int, xfer int64, start, end time.Time) {
-			e := fg.Event{
-				Stage:    "comm." + op,
-				Pipeline: pipe,
-				Kind:     fg.EventComm,
-				Round:    -1,
-				Bytes:    int64(nbytes),
-				Xfer:     xfer,
-			}
-			if tr != nil {
-				e.Start, e.End = tr.Span(start, end)
-				tr.Record(e)
-			}
-			if fr != nil {
-				e.Start, e.End = fr.Span(start, end)
-				fr.Record(e)
-			}
-		})
-	}
-	return func() {
-		for _, n := range c.Local() {
-			n.SetCommObserver(nil)
-		}
-		detachTelemetry()
-	}
-}
-
-// startTelemetry starts the cluster's telemetry plane when Params asks for
-// one, filling the fg-side callbacks from Observe. The returned detach
-// function unhooks the collector's watchdog and completion wrappers (the
-// plane itself stops with the cluster's Close). Telemetry is best-effort
-// by contract, so a plane that fails to start degrades to staleness at the
+// observe wires the Observe bundle into a freshly built cluster
+// (Cluster.Observe) and starts the cluster's telemetry plane when Params
+// asks for one, filling the fg-side callbacks from Observe. Call the
+// returned detach function (safe to repeat) when the run is over: it unhooks
+// the comm observers and the collector's watchdog and completion wrappers
+// and leaves the cluster's final counters in the registry (the plane
+// itself stops with the cluster's Close). Telemetry is best-effort by
+// contract, so a plane that fails to start degrades to staleness at the
 // aggregator rather than failing the run.
-func (pr Params) startTelemetry(c *cluster.Cluster) func() {
+func (pr Params) observe(c *cluster.Cluster) (detach func()) {
+	detachCluster := c.Observe(pr.Observe)
 	if pr.Telemetry.Interval <= 0 {
-		return func() {}
+		return detachCluster
 	}
 	cfg := pr.Telemetry
-	detach := func() {}
+	restore := func() {}
 	if cfg.Collect == nil {
 		fc := newFleetCollector(pr.Observe)
 		cfg.Collect = fc.collectFor(c)
 		if cfg.Blackbox == nil {
 			cfg.Blackbox = fc.blackbox()
 		}
-		detach = fc.restore
+		restore = fc.restore
 	}
 	t, err := c.StartTelemetry(cfg)
 	if err == nil && t != nil && pr.OnTelemetry != nil {
 		pr.OnTelemetry(t)
 	}
-	return detach
+	return func() {
+		restore()
+		detachCluster()
+	}
 }
 
 // DefaultParams mirrors the paper's machine at laptop scale: 16 nodes and
@@ -372,7 +309,7 @@ func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int) 
 	}
 	oocsort.CollectDiskStats(c)
 	oocsort.CollectCommStats(c)
-	detach := pr.instrument(c)
+	detach := pr.observe(c)
 	defer detach()
 
 	results := make([]oocsort.Result, pr.Nodes)
@@ -431,6 +368,7 @@ func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int) 
 			return oocsort.Result{}, fmt.Errorf("harness: %s on %v: %w", prog, dist, err)
 		}
 	}
+	detach() // before the counters reset: the registry keeps the run's totals
 	res := results[c.Local()[0].Rank()]
 	res.Disk = oocsort.CollectDiskStats(c)
 	res.Comm = oocsort.CollectCommStats(c)
@@ -631,7 +569,7 @@ func (pr Params) RunDsortWith(dist workload.Distribution, mutate func(*dsort.Con
 	}
 	oocsort.CollectDiskStats(c)
 	oocsort.CollectCommStats(c)
-	detach := pr.instrument(c)
+	detach := pr.observe(c)
 	defer detach()
 	cfg := dsort.DefaultConfig(spec, pr.Nodes)
 	cfg.Parallelism = pr.Parallelism
@@ -657,6 +595,7 @@ func (pr Params) RunDsortWith(dist workload.Distribution, mutate func(*dsort.Con
 			return oocsort.Result{}, err
 		}
 	}
+	detach() // before the counters reset: the registry keeps the run's totals
 	res := results[c.Local()[0].Rank()]
 	res.Disk = oocsort.CollectDiskStats(c)
 	res.Comm = oocsort.CollectCommStats(c)

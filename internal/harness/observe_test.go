@@ -3,12 +3,17 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/workload"
 )
@@ -169,6 +174,158 @@ func TestObserveMetricsAndStats(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("registry scrape missing %s", want)
 		}
+	}
+}
+
+// scrapeSeries renders the registry's Prometheus exposition and parses it
+// with parseSeries.
+func scrapeSeries(t *testing.T, reg *fg.MetricsRegistry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return parseSeries(t, b.String())
+}
+
+// parseSeries parses a Prometheus exposition into one value per series
+// (name plus label set), failing the test on a series that appears twice —
+// invalid exposition.
+func parseSeries(t *testing.T, exposition string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(exposition, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q: %v", line, err)
+		}
+		if _, dup := out[line[:i]]; dup {
+			t.Errorf("series %s appears twice", line[:i])
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// sumSeries sums the values of every series of one metric.
+func sumSeries(series map[string]float64, name string) float64 {
+	var sum float64
+	for k, v := range series {
+		if strings.HasPrefix(k, name+"{") {
+			sum += v
+		}
+	}
+	return sum
+}
+
+// TestSharedRegistryTwoRuns: two runs sharing one metrics registry — as
+// fgexp, supervised retries and multi-attempt fgd jobs do — must leave
+// every series exactly once, carrying the second run's value: the second
+// run's networks replace the first's under the same names, and the second
+// cluster's counters replace the first's.
+func TestSharedRegistryTwoRuns(t *testing.T) {
+	reg := fg.NewMetricsRegistry()
+	var mu sync.Mutex
+	final := map[string]fg.NetworkStats{}
+	pr := tinyParams()
+	pr.Nodes = 2
+	pr.ColumnsPerNode = 1
+	pr.Observe = &fg.Observe{
+		Metrics: reg,
+		OnStats: func(st fg.NetworkStats) {
+			mu.Lock()
+			final[st.Name] = st
+			mu.Unlock()
+		},
+	}
+	first, err := pr.Run(Dsort, workload.Uniform, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.TotalRecords *= 2
+	mu.Lock()
+	final = map[string]fg.NetworkStats{}
+	mu.Unlock()
+	second, err := pr.Run(Dsort, workload.Uniform, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Comm.BytesSent == second.Comm.BytesSent {
+		t.Fatal("the two runs sent the same bytes; the test cannot tell them apart")
+	}
+
+	series := scrapeSeries(t, reg)
+	for name, want := range map[string]int64{
+		"cluster_bytes_sent_total":    second.Comm.BytesSent,
+		"cluster_messages_sent_total": second.Comm.MessagesSent,
+		"cluster_bytes_recvd_total":   second.Comm.BytesRecvd,
+	} {
+		if got := sumSeries(series, name); got != float64(want) {
+			t.Errorf("%s sums to %v over the nodes, want the second run's %d", name, got, want)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(final) != 4 {
+		t.Fatalf("second run finished %d networks, want 4", len(final))
+	}
+	for name, st := range final {
+		key := fmt.Sprintf("fg_network_wall_seconds{network=%q}", name)
+		if got := series[key]; got != st.Wall.Seconds() {
+			t.Errorf("%s = %v, want the second run's %v", key, got, st.Wall.Seconds())
+		}
+		for _, s := range st.Stages {
+			labels := fmt.Sprintf("{network=%q,pipeline=%q,stage=%q}", name, s.Pipeline, s.Stage)
+			if got := series["fg_stage_rounds_total"+labels]; got != float64(s.Rounds) {
+				t.Errorf("fg_stage_rounds_total%s = %v, want %d", labels, got, s.Rounds)
+			}
+			if got := series["fg_stage_work_seconds_total"+labels]; got != s.Work.Seconds() {
+				t.Errorf("fg_stage_work_seconds_total%s = %v, want %v", labels, got, s.Work.Seconds())
+			}
+		}
+	}
+}
+
+// TestDetachedClusterReleased: once the harness detaches a cluster from a
+// registry that stays reachable, the cluster (disks, mailboxes and all)
+// becomes collectable, and its counters still scrape with the run's final
+// totals. The cluster sits in reference cycles, which SetFinalizer cannot
+// finalize, so the probe is a sentinel only the cluster references.
+func TestDetachedClusterReleased(t *testing.T) {
+	reg := fg.NewMetricsRegistry()
+	collected := make(chan struct{})
+	pr := tinyParams()
+	pr.Nodes = 2
+	pr.ColumnsPerNode = 1
+	pr.Observe = &fg.Observe{Metrics: reg, Flight: fg.NewFlightRecorder(0)}
+	pr.OnCluster = func(c *cluster.Cluster) {
+		sentinel := &[64]byte{}
+		runtime.SetFinalizer(sentinel, func(*[64]byte) { close(collected) })
+		c.OnPeerDeath(func(int, error) { _ = sentinel[0] })
+	}
+	res, err := pr.Run(Dsort, workload.Uniform, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := false
+	for i := 0; i < 50 && !released; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			released = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !released {
+		t.Fatal("the registry keeps a detached cluster reachable")
+	}
+	series := scrapeSeries(t, reg)
+	if got := sumSeries(series, "cluster_bytes_sent_total"); got == 0 || got != float64(res.Comm.BytesSent) {
+		t.Errorf("cluster_bytes_sent_total sums to %v, want the run's %d", got, res.Comm.BytesSent)
 	}
 }
 

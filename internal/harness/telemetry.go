@@ -1,12 +1,12 @@
 package harness
 
 // Fleet telemetry wiring. The cluster's telemetry plane (cluster.Telemetry)
-// cannot import fg, so this file supplies its two missing halves: a
-// collector that snapshots the fg side of a rank's state (stage taxonomy,
-// pool occupancy, knob positions, stall reports) out of the run's Observe
-// bundle, and the HTTP server that exposes the aggregator's fleet view at
-// /cluster/status.json and /cluster/metrics, with on-demand evidence at
-// /cluster/blackbox and /cluster/profile.
+// ships fg's documents but does not know where a run keeps them, so this
+// file supplies its two missing halves: a collector that picks a rank's
+// network statuses, knob positions and stall report out of the run's
+// Observe bundle, and the HTTP server that exposes the aggregator's fleet
+// view at /cluster/status.json and /cluster/metrics, with on-demand
+// evidence at /cluster/blackbox and /cluster/profile.
 
 import (
 	"encoding/json"
@@ -15,6 +15,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,37 +39,27 @@ func rankOfNetwork(name string) (int, bool) {
 	return r, true
 }
 
-// stuckFor is the park threshold the collector classifies stage states
-// against: a stage parked longer reads blocked, shorter reads running. It
-// matches the status endpoint's threshold, so the fleet view and the
-// node-local /status agree on what "blocked" means.
-const stuckFor = time.Second
-
 // A fleetCollector builds the fg-side half of a rank's telemetry record
 // from the run's Observe bundle, and tracks the latest watchdog stall
 // report per rank so the record can carry it. One collector serves one
-// cluster; instrument builds it and detaches its hooks when the run ends.
+// cluster; Params.observe builds it and detaches its hooks when the run
+// ends.
 type fleetCollector struct {
 	o *fg.Observe
 
 	mu     sync.Mutex
-	stalls map[int]*rankStall
+	stalls map[int]fg.StallReport
 
 	// restore undoes the OnStall/OnStats wrapping; called from detach so
 	// back-to-back runs do not chain handlers without bound.
 	restore func()
 }
 
-type rankStall struct {
-	network string
-	rec     cluster.StallRecord
-}
-
 // newFleetCollector hooks the bundle's watchdog and completion callbacks
 // (wrapping, not replacing, whatever is installed) so stall reports are
 // captured per rank and cleared when the stalled network finishes.
 func newFleetCollector(o *fg.Observe) *fleetCollector {
-	fc := &fleetCollector{o: o, stalls: map[int]*rankStall{}, restore: func() {}}
+	fc := &fleetCollector{o: o, stalls: map[int]fg.StallReport{}, restore: func() {}}
 	if o == nil {
 		return fc
 	}
@@ -97,29 +88,16 @@ func newFleetCollector(o *fg.Observe) *fleetCollector {
 	return fc
 }
 
-// observeStall reduces a watchdog report to its wire form and files it
-// under the reporting network's rank.
+// observeStall files a watchdog report under the reporting network's rank,
+// less the goroutine dump: that is what the pull RPC fetches on demand.
 func (fc *fleetCollector) observeStall(rep fg.StallReport) {
 	rank, ok := rankOfNetwork(rep.Network)
 	if !ok {
 		return
 	}
-	rec := cluster.StallRecord{
-		Network:         rep.Network,
-		Culprit:         rep.Culprit,
-		CulpritPipeline: rep.CulpritPipeline,
-		Reason:          rep.Reason,
-		StalledNS:       int64(rep.Stalled),
-		AtUnixNano:      time.Now().UnixNano(),
-	}
-	for _, s := range rep.Stages {
-		if s.Stage == rep.Culprit && s.Pipeline == rep.CulpritPipeline {
-			rec.CulpritState = s.State
-			break
-		}
-	}
+	rep.Goroutines = ""
 	fc.mu.Lock()
-	fc.stalls[rank] = &rankStall{network: rep.Network, rec: rec}
+	fc.stalls[rank] = rep
 	fc.mu.Unlock()
 }
 
@@ -131,7 +109,7 @@ func (fc *fleetCollector) networkFinished(name string) {
 		return
 	}
 	fc.mu.Lock()
-	if s := fc.stalls[rank]; s != nil && s.network == name {
+	if s, ok := fc.stalls[rank]; ok && s.Network == name {
 		delete(fc.stalls, rank)
 	}
 	fc.mu.Unlock()
@@ -153,100 +131,28 @@ func (fc *fleetCollector) collectFor(c *cluster.Cluster) func(rank int) cluster.
 }
 
 // collect assembles the fg-side fields of one rank's record from the
-// metrics registry's registered networks, filtered by the rank suffix in
-// their names.
+// metrics registry's snapshot: the status of every network whose name
+// carries the rank's suffix, and (for the tuner owner) the knob positions.
 func (fc *fleetCollector) collect(rank int, tunerOwner bool) cluster.RankTelemetry {
 	var rec cluster.RankTelemetry
 	if fc.o != nil && fc.o.Metrics != nil {
-		var bestRunning, bestAny cluster.BottleneckRecord
-		for _, nw := range fc.o.Metrics.Networks() {
-			st := nw.Stats()
-			r, ok := rankOfNetwork(st.Name)
-			if !ok || r != rank {
+		nets, knobs, adjustments := fc.o.Metrics.Snapshot()
+		for _, ns := range nets {
+			if r, ok := rankOfNetwork(ns.Network); !ok || r != rank {
 				continue
 			}
-			if rec.Program == "" {
-				if i := strings.IndexByte(st.Name, '.'); i > 0 {
-					rec.Program = st.Name[:i]
-				}
+			if i := strings.IndexByte(ns.Network, '.'); rec.Program == "" && i > 0 {
+				rec.Program = ns.Network[:i]
 			}
-			health := st.Classify(stuckFor)
-			for i, s := range st.Stages {
-				sr := cluster.StageRecord{
-					Stage:      s.Stage,
-					Pipeline:   s.Pipeline,
-					Network:    st.Name,
-					Rounds:     s.Rounds,
-					QueueLen:   s.QueueLen,
-					QueueCap:   s.QueueCap,
-					SlowPushes: s.SlowPushes,
-					InStateNS:  int64(s.InState),
-					WorkNS:     int64(s.Work),
-					WaitNS:     int64(s.AcceptWait),
-				}
-				if i < len(health) {
-					sr.State = health[i].State
-				}
-				rec.Stages = append(rec.Stages, sr)
-			}
-			for _, p := range st.Pipelines {
-				rec.Pipelines = append(rec.Pipelines, cluster.PipelineRecord{
-					Name:             p.Name,
-					Network:          st.Name,
-					Rounds:           p.Rounds,
-					PoolIdle:         p.PoolIdle,
-					PoolCap:          p.PoolCap,
-					Buffers:          p.Buffers,
-					EffectiveBuffers: p.EffectiveBuffers,
-				})
-			}
-			if b := st.Bottleneck(); b.Stage != "" {
-				br := cluster.BottleneckRecord{
-					Network:     st.Name,
-					Stage:       b.Stage,
-					Pipeline:    b.Pipeline,
-					WorkNS:      int64(b.Work),
-					Utilization: b.Utilization,
-					Overlap:     b.Overlap,
-				}
-				if st.Running && br.WorkNS > bestRunning.WorkNS {
-					bestRunning = br
-				}
-				if br.WorkNS > bestAny.WorkNS {
-					bestAny = br
-				}
-			}
-		}
-		// The governing stage of the rank: prefer the live network (old
-		// passes' finished networks stay registered and would otherwise
-		// dominate forever); fall back to the biggest finished one so a
-		// completed run still reports what governed it.
-		if bestRunning.Stage != "" {
-			rec.Bottleneck = bestRunning
-		} else {
-			rec.Bottleneck = bestAny
+			rec.Networks = append(rec.Networks, ns)
 		}
 		if tunerOwner {
-			workers := map[string]int{}
-			var stages []string
-			for _, t := range fc.o.Metrics.Tuners() {
-				rec.Adjustments += t.Adjustments()
-				for _, k := range t.KnobStates() {
-					if _, seen := workers[k.Stage]; !seen {
-						stages = append(stages, k.Stage)
-					}
-					workers[k.Stage] = k.Workers // last tuner wins: the newest pass
-				}
-			}
-			for _, s := range stages {
-				rec.Knobs = append(rec.Knobs, cluster.KnobRecord{Stage: s, Workers: workers[s]})
-			}
+			rec.Knobs, rec.Adjustments = knobs, adjustments
 		}
 	}
 	fc.mu.Lock()
-	if s := fc.stalls[rank]; s != nil {
-		cp := s.rec
-		rec.Stall = &cp
+	if s, ok := fc.stalls[rank]; ok {
+		rec.Stall = &s
 	}
 	fc.mu.Unlock()
 	return rec
@@ -259,8 +165,7 @@ func (fc *fleetCollector) blackbox() func(w io.Writer) error {
 	if fc.o == nil || fc.o.Flight == nil {
 		return nil
 	}
-	fl := fc.o.Flight
-	return func(w io.Writer) error { return fl.WriteChromeTrace(w) }
+	return fc.o.Flight.WriteChromeTrace
 }
 
 // A ClusterTelemetry is the fleet view's HTTP server, the cmds' end of the
@@ -304,8 +209,8 @@ func ServeClusterTelemetry(addr string) (*ClusterTelemetry, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/cluster/status.json", ct.handleStatus)
 	mux.Handle("/cluster/metrics", ct.reg)
-	mux.HandleFunc("/cluster/blackbox", ct.handleBlackbox)
-	mux.HandleFunc("/cluster/profile", ct.handleProfile)
+	mux.Handle("/cluster/blackbox", ct.servePull("application/json", pullBlackbox))
+	mux.Handle("/cluster/profile", ct.servePull("application/octet-stream", pullProfile))
 	ct.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = ct.srv.Serve(ln) }()
 	return ct, nil
@@ -356,74 +261,58 @@ func (ct *ClusterTelemetry) handleStatus(w http.ResponseWriter, _ *http.Request)
 	_ = enc.Encode(a.Status())
 }
 
-// pullRank parses the mandatory rank query parameter.
-func pullRank(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("rank")
-	if v == "" {
-		return 0, errors.New("missing rank parameter")
-	}
-	rank, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad rank %q", v)
-	}
-	return rank, nil
-}
-
-func (ct *ClusterTelemetry) handleBlackbox(w http.ResponseWriter, r *http.Request) {
-	t := ct.telemetry()
-	if t == nil {
-		http.Error(w, "telemetry not running", http.StatusServiceUnavailable)
-		return
-	}
-	rank, err := pullRank(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var data []byte
-	if r.URL.Query().Get("stall") != "" {
-		if a := t.Aggregator(); a != nil {
-			data, err = a.StallBlackbox(rank)
-		} else {
-			err = errors.New("no aggregator in this process")
+// servePull answers a pull endpoint with what fetch returns for the
+// request's mandatory rank parameter: 503 with no telemetry plane, 400 for
+// a bad request, 502 when the pull fails.
+func (ct *ClusterTelemetry) servePull(contentType string,
+	fetch func(t *cluster.Telemetry, rank int, q url.Values) ([]byte, int, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t := ct.telemetry()
+		if t == nil {
+			http.Error(w, "telemetry not running", http.StatusServiceUnavailable)
+			return
 		}
-	} else {
-		data, err = t.Pull(rank, cluster.PullBlackbox, 0)
+		q := r.URL.Query()
+		rank, err := strconv.Atoi(q.Get("rank"))
+		if err != nil {
+			http.Error(w, fmt.Sprintf("missing or bad rank %q", q.Get("rank")), http.StatusBadRequest)
+			return
+		}
+		data, code, err := fetch(t, rank, q)
+		if err != nil {
+			http.Error(w, err.Error(), code)
+			return
+		}
+		w.Header().Set("Content-Type", contentType)
+		_, _ = w.Write(data)
 	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(data)
 }
 
-func (ct *ClusterTelemetry) handleProfile(w http.ResponseWriter, r *http.Request) {
-	t := ct.telemetry()
-	if t == nil {
-		http.Error(w, "telemetry not running", http.StatusServiceUnavailable)
-		return
+// pullBlackbox fetches a rank's flight recorder, or with stall=1 the one
+// auto-pulled at the rank's last stall.
+func pullBlackbox(t *cluster.Telemetry, rank int, q url.Values) ([]byte, int, error) {
+	if q.Get("stall") == "" {
+		data, err := t.Pull(rank, cluster.PullBlackbox, 0)
+		return data, http.StatusBadGateway, err
 	}
-	rank, err := pullRank(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	a := t.Aggregator()
+	if a == nil {
+		return nil, http.StatusBadGateway, errors.New("no aggregator in this process")
 	}
-	var kind string
-	switch k := r.URL.Query().Get("kind"); k {
+	data, err := a.StallBlackbox(rank)
+	return data, http.StatusBadGateway, err
+}
+
+// pullProfile fetches a pprof profile of kind cpu or heap (the default).
+func pullProfile(t *cluster.Telemetry, rank int, q url.Values) ([]byte, int, error) {
+	kind := cluster.PullHeapProfile
+	switch k := q.Get("kind"); k {
 	case "cpu":
 		kind = cluster.PullCPUProfile
 	case "heap", "":
-		kind = cluster.PullHeapProfile
 	default:
-		http.Error(w, fmt.Sprintf("unknown profile kind %q (want cpu or heap)", k), http.StatusBadRequest)
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("unknown profile kind %q (want cpu or heap)", k)
 	}
 	data, err := t.Pull(rank, kind, 0)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
+	return data, http.StatusBadGateway, err
 }

@@ -53,7 +53,7 @@ func TestFleetCollectorStallLifecycle(t *testing.T) {
 		Stalled: 2 * time.Second,
 	})
 	rec := fc.collect(1, false)
-	if rec.Stall == nil || rec.Stall.Culprit != "merge" || rec.Stall.StalledNS != int64(2*time.Second) {
+	if rec.Stall == nil || rec.Stall.Culprit != "merge" || rec.Stall.Stalled != 2*time.Second {
 		t.Fatalf("stall not collected: %+v", rec.Stall)
 	}
 	if other := fc.collect(0, false); other.Stall != nil {
@@ -129,7 +129,11 @@ func TestClusterTelemetryInproc(t *testing.T) {
 		if rs.Record.Program != "dsort" {
 			t.Errorf("rank %d program %q, want dsort", rs.Rank, rs.Record.Program)
 		}
-		if len(rs.Record.Stages) == 0 {
+		stages := 0
+		for _, ns := range rs.Record.Networks {
+			stages += len(ns.Stages)
+		}
+		if stages == 0 {
 			t.Errorf("rank %d record carries no stages", rs.Rank)
 		}
 	}
@@ -144,10 +148,74 @@ func TestClusterTelemetryInproc(t *testing.T) {
 			t.Errorf("/cluster/metrics missing %s", want)
 		}
 	}
+	parseSeries(t, metrics) // every series once
 
 	bb := getBody(t, ct.Addr(), "/cluster/blackbox?rank=0")
 	if !strings.Contains(bb, "traceEvents") {
 		t.Errorf("blackbox pull is not a Chrome trace: %.80s", bb)
+	}
+}
+
+// TestTelemetryRecordIsStatusDocument: stage to fleet is one schema. After
+// a telemetry-armed 2-rank dsort, each rank's final wire record carries
+// every one of its networks as the very document the node-local
+// /status.json serves for it, byte for byte, under wire version 2.
+func TestTelemetryRecordIsStatusDocument(t *testing.T) {
+	obs := &fg.Observe{Metrics: fg.NewMetricsRegistry()}
+	var plane *cluster.Telemetry
+	pr := DefaultParams()
+	pr.Nodes = 2
+	pr.TotalRecords = 1 << 12
+	pr.RecordSize = 16
+	pr.Parallelism = 1
+	pr.Verify = false
+	pr.Observe = obs
+	pr.Telemetry = cluster.TelemetryConfig{Interval: 2 * time.Millisecond}
+	pr.OnTelemetry = func(tel *cluster.Telemetry) { plane = tel }
+	if _, err := pr.Run(Dsort, workload.Uniform, 0); err != nil {
+		t.Fatal(err)
+	}
+	ms, err := obs.Metrics.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	var local []json.RawMessage
+	if err := getJSON(ms.Addr(), "/status.json", &local); err != nil {
+		t.Fatal(err)
+	}
+	served := map[string]string{}
+	for _, raw := range local {
+		var doc struct {
+			Network string `json:"network"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		served[doc.Network] = string(raw)
+	}
+
+	if cluster.TelemetryVersion != 2 {
+		t.Fatalf("wire version %d, want 2", cluster.TelemetryVersion)
+	}
+	shipped := 0
+	for _, rs := range plane.Aggregator().Status().Ranks {
+		if rs.Record == nil || rs.Record.V != 2 {
+			t.Fatalf("rank %d: record %+v, want a v2 record", rs.Rank, rs.Record)
+		}
+		for _, ns := range rs.Record.Networks {
+			got, err := json.Marshal(ns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := served[ns.Network]; string(got) != want {
+				t.Errorf("rank %d ships %s as\n%s\nbut /status.json serves\n%s", rs.Rank, ns.Network, got, want)
+			}
+			shipped++
+		}
+	}
+	if shipped == 0 || shipped != len(served) {
+		t.Errorf("records ship %d networks, /status.json serves %d", shipped, len(served))
 	}
 }
 

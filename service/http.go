@@ -145,7 +145,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("GET /jobs/{id}/blackbox", s.handleBlackbox)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /status.json", s.handleStatus)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux

@@ -62,7 +62,7 @@ type Job struct {
 	finished    time.Time
 	cancelAsked bool
 	cancelWhy   string
-	timedOut    bool // the wall-clock timer fired; never retried past it
+	timedOut    bool             // the wall-clock timer fired; never retried past it
 	cluster     *cluster.Cluster // current attempt's cluster, while running
 	observe     *fg.Observe      // per-job metrics registry + flight recorder
 	result      oocsort.Result

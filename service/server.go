@@ -127,17 +127,21 @@ type Server struct {
 	queue   chan *Job
 	workers sync.WaitGroup // runner goroutines
 	active  sync.WaitGroup // accepted jobs not yet settled
+
+	metrics *fg.MetricsRegistry // served at /metrics; see emitMetrics
 }
 
 // New builds a daemon and starts its runner crew.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		start: time.Now(),
-		jobs:  make(map[string]*Job),
-		queue: make(chan *Job, cfg.QueueDepth),
+		cfg:     cfg,
+		start:   time.Now(),
+		jobs:    make(map[string]*Job),
+		queue:   make(chan *Job, cfg.QueueDepth),
+		metrics: fg.NewMetricsRegistry(),
 	}
+	s.metrics.RegisterFunc(s.emitMetrics)
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		s.workers.Add(1)
 		go func() {
