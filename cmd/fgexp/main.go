@@ -16,78 +16,19 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/dsort"
-	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/harness"
 	"github.com/fg-go/fg/internal/splitter"
 	"github.com/fg-go/fg/workload"
 )
 
 func main() {
-	var (
-		exps        = flag.String("exp", "fig8a", "comma-separated experiments: fig8a,fig8b,skew,linear,overlap,iovolume,splitters,passes,buffers,all")
-		nodes       = flag.Int("nodes", 16, "cluster size P")
-		logRecs     = flag.Int("records", 20, "log2 of the total record count N")
-		cpn         = flag.Int("cpn", 4, "csort columns per node (S = cpn*P)")
-		trials      = flag.Int("trials", 1, "runs to average per cell (the paper used 3)")
-		verify      = flag.Bool("verify", true, "verify every sort's output")
-		seed        = flag.Int64("seed", 1, "workload seed")
-		par         = flag.Int("parallelism", 0, "intra-buffer kernel workers (0 = all cores, 1 = serial)")
-		autotune    = flag.Bool("autotune", false, "let a run-time tuner adjust kernel workers and circulating buffers, starting from -parallelism")
-		metrics     = flag.String("metrics", "", "serve Prometheus metrics on this address (host:port, :0 picks a port) to scrape while experiments run")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON file of every run (chrome://tracing, Perfetto)")
-		statusAddr  = flag.String("status-addr", "", "serve live pipeline health on this address (/status text, /status.json)")
-		clusterAddr = flag.String("cluster-status-addr", "", "serve the fleet view on this address (/cluster/status.json, /cluster/metrics); implies telemetry at -telemetry-interval")
-		telemetryIv = flag.Duration("telemetry-interval", 0, "publish a telemetry record per rank at this interval toward the aggregator rank 0 (0 = off unless -cluster-status-addr is set, then 500ms)")
-		stallAfter  = flag.Duration("stall-after", 0, "arm a stall watchdog: report and dump a black-box trace after this long with no progress (0 = off)")
-		transport   = flag.String("transport", "inproc", "cluster transport: inproc (goroutines and channels) or tcp (real loopback sockets, all ranks in this process)")
-		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat interval for peer failure detection; a peer silent for 10 intervals is declared dead and the run aborted (0 = off)")
-		ckptDir     = flag.String("checkpoint-dir", "", "commit a checkpoint after each pass under this directory and resume from it on restart")
-		supervise   = flag.Int("supervise", 1, "run each sort under a supervisor that retries up to this many attempts on peer death or abort, resuming from checkpoints (1 = no supervisor)")
-	)
-	flag.Parse()
-
-	pr := harness.DefaultParams()
-	pr.Nodes = *nodes
-	pr.TotalRecords = 1 << *logRecs
-	pr.ColumnsPerNode = *cpn
-	pr.Verify = *verify
-	pr.Seed = *seed
-	if *par < 0 {
-		fmt.Fprintf(os.Stderr, "fgexp: -parallelism must be >= 0, got %d\n", *par)
+	pr, exps, cli, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fgexp: %v\n", err)
 		os.Exit(1)
 	}
-	pr.Parallelism = *par
-	if *autotune {
-		pr.AutoTune = fg.DefaultAutoTune()
-	}
-
-	switch *transport {
-	case "inproc":
-	case "tcp":
-		pr.Transport.Kind = cluster.TransportTCP
-	default:
-		fmt.Fprintf(os.Stderr, "fgexp: unknown -transport %q (want inproc or tcp)\n", *transport)
-		os.Exit(1)
-	}
-
-	if *heartbeat > 0 {
-		pr.Health = cluster.HealthConfig{Interval: *heartbeat}
-	}
-	pr.CheckpointDir = *ckptDir
-	if *supervise < 1 {
-		fmt.Fprintf(os.Stderr, "fgexp: -supervise must be >= 1, got %d\n", *supervise)
-		os.Exit(1)
-	}
-	if *supervise > 1 {
-		pr.Supervise = *supervise
-		pr.SuperviseLog = os.Stderr
-	}
-
-	trialCount = *trials
 
 	if err := pr.Warmup(); err != nil {
 		fmt.Fprintf(os.Stderr, "fgexp: warmup: %v\n", err)
@@ -95,22 +36,14 @@ func main() {
 	}
 
 	// Attach observability after the warmup so its run is not traced.
-	obs, ct, finish, err := harness.ObserveCLI(*metrics, *traceOut, *statusAddr, *clusterAddr, *stallAfter)
+	finish, err := cli.Observe(&pr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fgexp: %v\n", err)
 		os.Exit(1)
 	}
-	pr.Observe = obs
-	if *clusterAddr != "" && *telemetryIv <= 0 {
-		*telemetryIv = 500 * time.Millisecond
-	}
-	if *telemetryIv > 0 {
-		pr.Telemetry = cluster.TelemetryConfig{Interval: *telemetryIv}
-		pr.OnTelemetry = ct.SetPlane
-	}
 
 	want := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
+	for _, e := range strings.Split(exps, ",") {
 		want[strings.TrimSpace(e)] = true
 	}
 	all := want["all"]
@@ -141,6 +74,35 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fgexp: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags compiles an fgexp command line: the job flags fill the
+// shared CLIFlags' spec, compiled onto harness.DefaultParams. It returns
+// the -exp list; the observability flags are left to the returned
+// CLIFlags' Observe.
+func parseFlags(fs *flag.FlagSet, args []string) (harness.Params, string, *harness.CLIFlags, error) {
+	cli := harness.RegisterCLIFlags(fs)
+	for name, usage := range map[string]string{
+		"verify":         "verify every sort's output",
+		"metrics":        "serve Prometheus metrics on this address (host:port, :0 picks a port) to scrape while experiments run",
+		"trace-out":      "write a Chrome trace-event JSON file of every run (chrome://tracing, Perfetto)",
+		"transport":      "cluster transport: inproc (goroutines and channels) or tcp (real loopback sockets, all ranks in this process)",
+		"heartbeat":      "heartbeat interval for peer failure detection; a peer silent for 10 intervals is declared dead and the run aborted (0 = off)",
+		"checkpoint-dir": "commit a checkpoint after each pass under this directory and resume from it on restart",
+		"supervise":      "run each sort under a supervisor that retries up to this many attempts on peer death or abort, resuming from checkpoints (1 = no supervisor)",
+	} {
+		fs.Lookup(name).Usage = usage
+	}
+	exps := fs.String("exp", "fig8a", "comma-separated experiments: fig8a,fig8b,skew,linear,overlap,iovolume,splitters,passes,buffers,all")
+	logRecs := fs.Int("records", 20, "log2 of the total record count N")
+	fs.IntVar(&cli.Spec.ColumnsPerNode, "cpn", 4, "csort columns per node (S = cpn*P)")
+	fs.IntVar(&trialCount, "trials", 1, "runs to average per cell (the paper used 3)")
+	if err := fs.Parse(args); err != nil {
+		return harness.Params{}, "", nil, err
+	}
+	cli.Spec.Records = 1 << *logRecs
+	pr, err := cli.Params()
+	return pr, *exps, cli, err
 }
 
 // bufferSweep reproduces the paper's methodological note that "all results
@@ -207,14 +169,7 @@ func figure8(pr harness.Params, recSize int, title string) error {
 	fmt.Print(harness.FormatFigure8(fmt.Sprintf("%s, N=%d, P=%d", title, pr.TotalRecords, pr.Nodes), cells))
 	lo, hi := 1.0, 0.0
 	for _, c := range cells {
-		if r := c.Ratio(); r < lo {
-			lo = r
-		} else if r > hi {
-			hi = r
-		}
-		if c.Ratio() > hi {
-			hi = c.Ratio()
-		}
+		lo, hi = min(lo, c.Ratio()), max(hi, c.Ratio())
 	}
 	fmt.Printf("dsort/csort ratio band: %.2f%%-%.2f%% (paper: 74.26%%-85.06%%)\n", 100*lo, 100*hi)
 	return nil

@@ -54,7 +54,7 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("%-20s %d ranks, %s, %d records; %s\n",
-				s.Name, s.Ranks, s.Program, s.Records, firstSentence(s.Description))
+				s.Name, s.Nodes, s.Program, s.Records, firstSentence(s.Description))
 		}
 		return
 	}
@@ -104,7 +104,7 @@ func main() {
 	allOK := true
 	for _, s := range scenarios {
 		if *ranks > 0 {
-			s.Ranks = *ranks
+			s.Nodes = *ranks
 			if err := s.Validate(); err != nil {
 				fmt.Fprintf(os.Stderr, "fgsoak: -ranks %d: %v\n", *ranks, err)
 				os.Exit(2)

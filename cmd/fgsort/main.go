@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -34,113 +35,23 @@ import (
 )
 
 func main() {
-	var (
-		program     = flag.String("program", "dsort", "dsort, csort, or dsort-linear")
-		nodes       = flag.Int("nodes", 16, "cluster size P")
-		logRecs     = flag.Int("records", 18, "log2 of total records N")
-		recSize     = flag.Int("record-size", 16, "record size in bytes (>= 8)")
-		distArg     = flag.String("dist", "uniform", "key distribution: uniform, all-equal, normal, poisson, skew-one-node, skew-zipf")
-		cpn         = flag.Int("cpn", 2, "csort columns per node")
-		buffers     = flag.Int("buffers", 0, "per-pipeline buffer pool (0 = program default)")
-		verify      = flag.Bool("verify", true, "verify the sorted output")
-		seed        = flag.Int64("seed", 1, "workload seed")
-		par         = flag.Int("parallelism", 0, "intra-buffer kernel workers (0 = all cores, 1 = serial)")
-		diskSeek    = flag.Duration("disk-seek", 0, "override the simulated disk's per-op seek latency; in a multi-process run this is per-rank, so a slow rank 1 is just rank 1's process run with a bigger value (0 = model default)")
-		diskBW      = flag.Float64("disk-bw", 0, "override the simulated disk's sequential transfer rate in bytes/second, per-rank like -disk-seek (0 = model default)")
-		autotune    = flag.Bool("autotune", false, "let a run-time tuner adjust kernel workers and circulating buffers, starting from -parallelism")
-		metrics     = flag.String("metrics", "", "serve Prometheus metrics on this address (host:port, :0 picks a port) to scrape while the run is in flight")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON file of the run (chrome://tracing, Perfetto)")
-		statusAddr  = flag.String("status-addr", "", "serve live pipeline health on this address (/status text, /status.json)")
-		clusterAddr = flag.String("cluster-status-addr", "", "serve the fleet view on this address (/cluster/status.json, /cluster/metrics); implies telemetry at -telemetry-interval")
-		telemetryIv = flag.Duration("telemetry-interval", 0, "publish a telemetry record per rank at this interval toward the aggregator rank 0 (0 = off unless -cluster-status-addr is set, then 500ms)")
-		stallAfter  = flag.Duration("stall-after", 0, "arm a stall watchdog: report and dump a black-box trace after this long with no progress (0 = off)")
-		transport   = flag.String("transport", "inproc", "cluster transport: inproc (goroutines and channels) or tcp (real sockets)")
-		rank        = flag.Int("rank", -1, "with -transport tcp and -peers: this process's rank; each rank runs its own fgsort process")
-		peersArg    = flag.String("peers", "", "with -transport tcp: comma-separated host:port listen address per rank (the same list in every process); empty runs all ranks in-process over loopback")
-		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat interval for peer failure detection; a peer silent for 10 intervals is declared dead and the job aborted (0 = off)")
-		ckptDir     = flag.String("checkpoint-dir", "", "commit a checkpoint after each pass under this directory and resume from it on restart (the same directory in every process)")
-		supervise   = flag.Int("supervise", 1, "run the job under a supervisor that retries up to this many attempts on peer death or abort, resuming from checkpoints (1 = no supervisor)")
-	)
-	flag.Parse()
-
 	// A/B escape hatch for the queue layer (see EXPERIMENTS.md): force the
 	// channel-backed queue build instead of lock-free SPSC rings.
 	if os.Getenv("FGSORT_CHANNEL_QUEUES") != "" {
 		fg.UseChannelQueues(true)
 	}
 
-	dist, err := workload.ParseDistribution(*distArg)
+	pr, cli, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+	finish, err := cli.Observe(&pr)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	pr := harness.DefaultParams()
-	pr.Nodes = *nodes
-	pr.TotalRecords = 1 << *logRecs
-	pr.RecordSize = *recSize
-	pr.ColumnsPerNode = *cpn
-	pr.Verify = *verify
-	pr.Seed = *seed
-	if *par < 0 {
-		log.Fatalf("fgsort: -parallelism must be >= 0, got %d", *par)
-	}
-	pr.Parallelism = *par
-	if *diskSeek > 0 {
-		pr.Disk.SeekLatency = *diskSeek
-	}
-	if *diskBW > 0 {
-		pr.Disk.BytesPerSecond = *diskBW
-	}
-	if *autotune {
-		pr.AutoTune = fg.DefaultAutoTune()
-	}
-
-	switch *transport {
-	case "inproc":
-		if *peersArg != "" || *rank >= 0 {
-			log.Fatal("fgsort: -peers and -rank require -transport tcp")
-		}
-	case "tcp":
-		pr.Transport.Kind = cluster.TransportTCP
-		if *peersArg != "" {
-			pr.Transport.Peers = strings.Split(*peersArg, ",")
-			pr.Transport.Rank = *rank
-			if *rank < 0 {
-				log.Fatal("fgsort: -peers needs -rank to say which address is this process")
-			}
-		} else if *rank >= 0 {
-			log.Fatal("fgsort: -rank without -peers; a single process hosts every rank")
-		}
-	default:
-		log.Fatalf("fgsort: unknown -transport %q (want inproc or tcp)", *transport)
-	}
-
-	if *heartbeat > 0 {
-		pr.Health = cluster.HealthConfig{Interval: *heartbeat}
-	}
-	pr.CheckpointDir = *ckptDir
-	if *supervise < 1 {
-		log.Fatalf("fgsort: -supervise must be >= 1, got %d", *supervise)
-	}
-	if *supervise > 1 {
-		pr.Supervise = *supervise
-		pr.SuperviseLog = os.Stderr
-	}
-
-	obs, ct, finish, err := harness.ObserveCLI(*metrics, *traceOut, *statusAddr, *clusterAddr, *stallAfter)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pr.Observe = obs
-	if *clusterAddr != "" && *telemetryIv <= 0 {
-		*telemetryIv = 500 * time.Millisecond
-	}
-	if *telemetryIv > 0 {
-		pr.Telemetry = cluster.TelemetryConfig{Interval: *telemetryIv}
-		pr.OnTelemetry = ct.SetPlane
-	}
-
-	res, err := pr.Run(harness.Program(*program), dist, *buffers)
+	spec := cli.Spec
+	res, err := pr.Run(harness.Program(spec.Program), spec.Dist(), spec.Buffers)
 	// Let finish write the trace and black box before a failed run exits.
 	if ferr := finish(err); ferr != nil {
 		log.Fatal(ferr)
@@ -149,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(res)
-	if *verify {
+	if pr.Verify {
 		fmt.Println("output verified: globally sorted, PDM-striped, permutation of input")
 	}
 	data := pr.TotalRecords * int64(pr.RecordSize)
@@ -159,4 +70,57 @@ func main() {
 	fmt.Printf("network: %d messages, %d bytes sent, NICs busy %v, blocked sending %v / receiving %v\n",
 		res.Comm.MessagesSent, res.Comm.BytesSent, res.Comm.SendBusy.Round(time.Millisecond),
 		res.Comm.SendWait.Round(time.Millisecond), res.Comm.RecvWait.Round(time.Millisecond))
+}
+
+// parseFlags compiles an fgsort command line: the job flags fill the
+// shared CLIFlags' spec, compiled onto harness.DefaultParams; the
+// per-process flags (-disk-seek, -disk-bw, -peers, -rank) apply on top. The
+// observability flags are left to the returned CLIFlags' Observe.
+func parseFlags(fs *flag.FlagSet, args []string) (harness.Params, *harness.CLIFlags, error) {
+	cli := harness.RegisterCLIFlags(fs)
+	sp := &cli.Spec
+	fs.StringVar(&sp.Program, "program", "dsort", "dsort, csort, or dsort-linear")
+	fs.IntVar(&sp.RecordSize, "record-size", 16, "record size in bytes (>= 8)")
+	fs.StringVar(&sp.Distribution, "dist", "uniform", "key distribution: uniform, all-equal, normal, poisson, skew-one-node, skew-zipf")
+	fs.IntVar(&sp.ColumnsPerNode, "cpn", 2, "csort columns per node")
+	fs.IntVar(&sp.Buffers, "buffers", 0, "per-pipeline buffer pool (0 = program default)")
+	var (
+		logRecs  = fs.Int("records", 18, "log2 of total records N")
+		diskSeek = fs.Duration("disk-seek", 0, "override the simulated disk's per-op seek latency; in a multi-process run this is per-rank, so a slow rank 1 is just rank 1's process run with a bigger value (0 = model default)")
+		diskBW   = fs.Float64("disk-bw", 0, "override the simulated disk's sequential transfer rate in bytes/second, per-rank like -disk-seek (0 = model default)")
+		rank     = fs.Int("rank", -1, "with -transport tcp and -peers: this process's rank; each rank runs its own fgsort process")
+		peersArg = fs.String("peers", "", "with -transport tcp: comma-separated host:port listen address per rank (the same list in every process); empty runs all ranks in-process over loopback")
+	)
+	if err := fs.Parse(args); err != nil {
+		return harness.Params{}, nil, err
+	}
+	if _, err := workload.ParseDistribution(sp.Distribution); err != nil {
+		return harness.Params{}, nil, err
+	}
+	sp.Records = 1 << *logRecs
+	pr, err := cli.Params()
+	if err != nil {
+		return harness.Params{}, nil, fmt.Errorf("fgsort: %w", err)
+	}
+	if *diskSeek > 0 {
+		pr.Disk.SeekLatency = *diskSeek
+	}
+	if *diskBW > 0 {
+		pr.Disk.BytesPerSecond = *diskBW
+	}
+	switch {
+	case pr.Transport.Kind != cluster.TransportTCP:
+		if *peersArg != "" || *rank >= 0 {
+			return harness.Params{}, nil, errors.New("fgsort: -peers and -rank require -transport tcp")
+		}
+	case *peersArg != "":
+		if *rank < 0 {
+			return harness.Params{}, nil, errors.New("fgsort: -peers needs -rank to say which address is this process")
+		}
+		pr.Transport.Peers = strings.Split(*peersArg, ",")
+		pr.Transport.Rank = *rank
+	case *rank >= 0:
+		return harness.Params{}, nil, errors.New("fgsort: -rank without -peers; a single process hosts every rank")
+	}
+	return pr, cli, nil
 }

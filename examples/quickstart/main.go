@@ -8,7 +8,9 @@
 // -> source, so memory stays constant no matter how large the file is.
 //
 // Run it twice to see what FG buys: once with the default pool (overlapped)
-// and once with -buffers 1 (stages serialized).
+// and once with -buffers 1 (stages serialized). The timeline printed at the
+// end shows the difference: with overlap the three stages' bars run side
+// by side, serialized they take turns.
 package main
 
 import (
@@ -46,7 +48,9 @@ func main() {
 		in.Import(fmt.Sprintf("in.%d", i), data)
 	}
 
+	tr := fg.NewTracer(0)
 	nw := fg.NewNetwork("quickstart")
+	nw.SetTracer(tr)
 	p := nw.AddPipeline("main",
 		fg.Buffers(*buffers), fg.BufferBytes(blockBytes), fg.Rounds(*blocks))
 
@@ -78,6 +82,8 @@ func main() {
 		in.Stats().Busy.Round(time.Millisecond), out.Stats().Busy.Round(time.Millisecond))
 	fmt.Println()
 	fmt.Print(nw.Stats())
+	fmt.Println()
+	fmt.Print(tr.Gantt(70))
 	fmt.Println("\nTry -buffers 1: with a single buffer the three stages can never")
 	fmt.Println("work concurrently, and the run takes roughly the sum of the two")
 	fmt.Println("disks' busy times instead of their maximum.")

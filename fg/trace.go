@@ -16,7 +16,7 @@ import (
 // when it was working on a buffer and when it was waiting for one. The
 // resulting timeline makes FG's latency hiding visible: a well-overlapped
 // network shows the stages' work intervals interleaved in time rather than
-// stacked end to end. cmd/fgdemo renders traces as an ASCII Gantt chart;
+// stacked end to end. Gantt renders the timeline as an ASCII chart;
 // WriteChromeTrace exports the same timeline as Chrome trace-event JSON for
 // chrome://tracing and Perfetto.
 

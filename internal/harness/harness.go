@@ -17,6 +17,7 @@ import (
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/check"
 	"github.com/fg-go/fg/internal/splitter"
+	"github.com/fg-go/fg/jobspec"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/pdm"
 	"github.com/fg-go/fg/records"
@@ -188,6 +189,29 @@ func DefaultParams() Params {
 	}
 }
 
+// WithSpec returns base with a job spec's machine, workload and tuning
+// applied — the one compile from the job schema to Params that fgd, the
+// soak workers, fgsort and fgexp share. Zero spec fields take the spec's
+// defaults; base keeps everything the spec does not describe (network
+// model, transport, hooks), and its disk model unless the spec carries
+// one.
+func (base Params) WithSpec(s jobspec.Spec) Params {
+	base.Nodes = s.Nodes
+	base.TotalRecords = s.Records
+	base.RecordSize = s.EffectiveRecordSize()
+	base.ColumnsPerNode = s.EffectiveColumnsPerNode()
+	base.Seed = s.EffectiveSeed()
+	base.Verify = !s.SkipVerify
+	base.Parallelism = s.Parallelism
+	if s.AutoTune {
+		base.AutoTune = fg.DefaultAutoTune()
+	}
+	if s.Disk != nil {
+		base.Disk = s.Disk.Model()
+	}
+	return base
+}
+
 // Warmup runs each program once at reduced scale, unverified and
 // untimed, so a process's first measured run does not absorb allocator and
 // scheduler warmup.
@@ -259,14 +283,14 @@ const (
 // attempt resumes from the checkpoints in CheckpointDir.
 func (pr Params) Run(prog Program, dist workload.Distribution, buffers int) (oocsort.Result, error) {
 	if pr.Supervise <= 1 {
-		return pr.runOnce(prog, dist, buffers)
+		return pr.runOnce(prog, dist, buffers, nil)
 	}
 	var res oocsort.Result
 	rep := supervise.Run(supervise.Job{
 		Name: fmt.Sprintf("%s/%v", prog, dist),
 		Run: func(int) ([]string, error) {
 			var err error
-			res, err = pr.runOnce(prog, dist, buffers)
+			res, err = pr.runOnce(prog, dist, buffers, nil)
 			return res.Resumed, err
 		},
 	}, supervise.Policy{
@@ -281,8 +305,8 @@ func (pr Params) Run(prog Program, dist workload.Distribution, buffers int) (ooc
 }
 
 // runOnce is one unsupervised attempt: fresh cluster, input, program,
-// verification, teardown.
-func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int) (oocsort.Result, error) {
+// verification, teardown. mutate, if non-nil, adjusts dsort's config.
+func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int, mutate func(*dsort.Config)) (oocsort.Result, error) {
 	pr.ensureTelemetryObserve()
 	spec, err := pr.Spec(dist)
 	if err != nil {
@@ -312,30 +336,26 @@ func (pr Params) runOnce(prog Program, dist workload.Distribution, buffers int) 
 	detach := pr.observe(c)
 	defer detach()
 
+	dcfg := dsort.DefaultConfig(spec, pr.Nodes)
+	dcfg.Parallelism, dcfg.AutoTune, dcfg.Observe = pr.Parallelism, pr.AutoTune, pr.Observe
+	if buffers > 0 {
+		dcfg.Buffers = buffers
+	}
+	if prog == Dsort {
+		dcfg.Checkpoint = ck
+	}
+	if mutate != nil {
+		mutate(&dcfg)
+	}
 	results := make([]oocsort.Result, pr.Nodes)
 	err = c.Run(func(n *cluster.Node) error {
 		var res oocsort.Result
 		var err error
 		switch prog {
 		case Dsort:
-			cfg := dsort.DefaultConfig(spec, pr.Nodes)
-			cfg.Parallelism = pr.Parallelism
-			cfg.AutoTune = pr.AutoTune
-			cfg.Observe = pr.Observe
-			cfg.Checkpoint = ck
-			if buffers > 0 {
-				cfg.Buffers = buffers
-			}
-			res, err = dsort.Run(n, cfg)
+			res, err = dsort.Run(n, dcfg)
 		case DsortLinear:
-			cfg := dsort.DefaultConfig(spec, pr.Nodes)
-			cfg.Parallelism = pr.Parallelism
-			cfg.AutoTune = pr.AutoTune
-			cfg.Observe = pr.Observe
-			if buffers > 0 {
-				cfg.Buffers = buffers
-			}
-			res, err = dsort.RunLinear(n, cfg)
+			res, err = dsort.RunLinear(n, dcfg)
 		case Csort, Csort4:
 			pl, perr := colsort.NewPlan(spec, pr.Nodes, pr.ColumnsPerNode)
 			if perr != nil {
@@ -549,55 +569,5 @@ func (pr Params) Balance(dist workload.Distribution, oversample int) (float64, e
 // experiment uses it to reproduce the paper's methodological note that all
 // reported results use "the best choices of buffer sizes".
 func (pr Params) RunDsortWith(dist workload.Distribution, mutate func(*dsort.Config)) (oocsort.Result, error) {
-	pr.ensureTelemetryObserve()
-	spec, err := pr.Spec(dist)
-	if err != nil {
-		return oocsort.Result{}, err
-	}
-	runtime.GC()
-	c, err := pr.NewCluster()
-	if err != nil {
-		return oocsort.Result{}, err
-	}
-	defer c.Close()
-	if pr.OnCluster != nil {
-		pr.OnCluster(c)
-	}
-	fp, err := oocsort.GenerateInput(c, spec)
-	if err != nil {
-		return oocsort.Result{}, err
-	}
-	oocsort.CollectDiskStats(c)
-	oocsort.CollectCommStats(c)
-	detach := pr.observe(c)
-	defer detach()
-	cfg := dsort.DefaultConfig(spec, pr.Nodes)
-	cfg.Parallelism = pr.Parallelism
-	cfg.AutoTune = pr.AutoTune
-	cfg.Observe = pr.Observe
-	if ck, err := pr.checkpoint(); err != nil {
-		return oocsort.Result{}, err
-	} else {
-		cfg.Checkpoint = ck
-	}
-	mutate(&cfg)
-	results := make([]oocsort.Result, pr.Nodes)
-	err = c.Run(func(n *cluster.Node) error {
-		res, err := dsort.Run(n, cfg)
-		results[n.Rank()] = res
-		return err
-	})
-	if err != nil {
-		return oocsort.Result{}, err
-	}
-	if pr.Verify {
-		if err := pr.verify(c, spec, fp); err != nil {
-			return oocsort.Result{}, err
-		}
-	}
-	detach() // before the counters reset: the registry keeps the run's totals
-	res := results[c.Local()[0].Rank()]
-	res.Disk = oocsort.CollectDiskStats(c)
-	res.Comm = oocsort.CollectCommStats(c)
-	return res, nil
+	return pr.runOnce(Dsort, dist, 0, mutate)
 }

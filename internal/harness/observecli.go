@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -10,7 +11,9 @@ import (
 	"sync"
 	"time"
 
+	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/fg"
+	"github.com/fg-go/fg/jobspec"
 )
 
 // BlackBoxPath is where ObserveCLI dumps the flight recorder when a run
@@ -161,6 +164,91 @@ func ObserveCLI(metricsAddr, traceOut, statusAddr, clusterAddr string, stallAfte
 		return closeServers()
 	}
 	return o, ct, finish, nil
+}
+
+// CLIFlags are the flags fgsort and fgexp share. The job flags land in
+// Spec — each binary binds its own job flags (program, records, columns,
+// ...) to Spec's fields too — and the rest select the transport, the
+// resilience stack, and the observability bundle ObserveCLI builds.
+type CLIFlags struct {
+	Spec jobspec.Spec
+
+	transport, checkpointDir                   string
+	metrics, traceOut, statusAddr, clusterAddr string
+	heartbeat, telemetryInterval, stallAfter   time.Duration
+	supervise                                  int
+	verify                                     bool
+}
+
+// RegisterCLIFlags declares the shared flags on fs, worded for a single
+// run; a binary whose wording differs replaces the Usage of fs.Lookup(name).
+func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
+	c := &CLIFlags{}
+	fs.IntVar(&c.Spec.Nodes, "nodes", 16, "cluster size P")
+	fs.Int64Var(&c.Spec.Seed, "seed", 1, "workload seed")
+	fs.IntVar(&c.Spec.Parallelism, "parallelism", 0, "intra-buffer kernel workers (0 = all cores, 1 = serial)")
+	fs.BoolVar(&c.Spec.AutoTune, "autotune", false, "let a run-time tuner adjust kernel workers and circulating buffers, starting from -parallelism")
+	fs.BoolVar(&c.verify, "verify", true, "verify the sorted output")
+	fs.StringVar(&c.metrics, "metrics", "", "serve Prometheus metrics on this address (host:port, :0 picks a port) to scrape while the run is in flight")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write a Chrome trace-event JSON file of the run (chrome://tracing, Perfetto)")
+	fs.StringVar(&c.statusAddr, "status-addr", "", "serve live pipeline health on this address (/status text, /status.json)")
+	fs.StringVar(&c.clusterAddr, "cluster-status-addr", "", "serve the fleet view on this address (/cluster/status.json, /cluster/metrics); implies telemetry at -telemetry-interval")
+	fs.DurationVar(&c.telemetryInterval, "telemetry-interval", 0, "publish a telemetry record per rank at this interval toward the aggregator rank 0 (0 = off unless -cluster-status-addr is set, then 500ms)")
+	fs.DurationVar(&c.stallAfter, "stall-after", 0, "arm a stall watchdog: report and dump a black-box trace after this long with no progress (0 = off)")
+	fs.StringVar(&c.transport, "transport", "inproc", "cluster transport: inproc (goroutines and channels) or tcp (real sockets)")
+	fs.DurationVar(&c.heartbeat, "heartbeat", 0, "heartbeat interval for peer failure detection; a peer silent for 10 intervals is declared dead and the job aborted (0 = off)")
+	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "commit a checkpoint after each pass under this directory and resume from it on restart (the same directory in every process)")
+	fs.IntVar(&c.supervise, "supervise", 1, "run the job under a supervisor that retries up to this many attempts on peer death or abort, resuming from checkpoints (1 = no supervisor)")
+	return c
+}
+
+// Params compiles Spec onto DefaultParams and applies the transport and
+// resilience flags.
+func (c *CLIFlags) Params() (Params, error) {
+	if c.Spec.Parallelism < 0 {
+		return Params{}, fmt.Errorf("-parallelism must be >= 0, got %d", c.Spec.Parallelism)
+	}
+	spec := c.Spec
+	spec.SkipVerify = !c.verify
+	pr := DefaultParams().WithSpec(spec)
+	switch c.transport {
+	case "inproc":
+	case "tcp":
+		pr.Transport.Kind = cluster.TransportTCP
+	default:
+		return Params{}, fmt.Errorf("unknown -transport %q (want inproc or tcp)", c.transport)
+	}
+	if c.heartbeat > 0 {
+		pr.Health = cluster.HealthConfig{Interval: c.heartbeat}
+	}
+	pr.CheckpointDir = c.checkpointDir
+	if c.supervise < 1 {
+		return Params{}, fmt.Errorf("-supervise must be >= 1, got %d", c.supervise)
+	}
+	if c.supervise > 1 {
+		pr.Supervise = c.supervise
+		pr.SuperviseLog = os.Stderr
+	}
+	return pr, nil
+}
+
+// Observe attaches the observability flags' bundle (ObserveCLI) and the
+// telemetry plane they ask for to pr, and returns ObserveCLI's finish.
+func (c *CLIFlags) Observe(pr *Params) (finish func(runErr error) error, err error) {
+	obs, ct, finish, err := ObserveCLI(c.metrics, c.traceOut, c.statusAddr, c.clusterAddr, c.stallAfter)
+	if err != nil {
+		return nil, err
+	}
+	pr.Observe = obs
+	iv := c.telemetryInterval
+	if c.clusterAddr != "" && iv <= 0 {
+		iv = 500 * time.Millisecond
+	}
+	if iv > 0 {
+		pr.Telemetry = cluster.TelemetryConfig{Interval: iv}
+		pr.OnTelemetry = ct.SetPlane
+	}
+	return finish, nil
 }
 
 // writeFileAtomic writes via a temp file in the target's directory and

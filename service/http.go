@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/fg-go/fg/jobspec"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/supervise"
 )
@@ -164,7 +165,7 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := DecodeJobSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	spec, err := jobspec.Decode[JobSpec](http.MaxBytesReader(w, r.Body, 1<<20), "job spec")
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

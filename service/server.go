@@ -28,9 +28,9 @@ import (
 	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/harness"
 	"github.com/fg-go/fg/internal/parallel"
+	"github.com/fg-go/fg/jobspec"
 	"github.com/fg-go/fg/oocsort"
 	"github.com/fg-go/fg/supervise"
-	"github.com/fg-go/fg/workload"
 )
 
 // ErrQueueFull is returned by Submit when the bounded job queue is at
@@ -338,22 +338,17 @@ func (s *Server) runJob(j *Job) {
 	}
 	defer cleanup()
 
-	timer := time.AfterFunc(j.Spec.timeout(s.cfg.Limits), j.timeoutAbort)
+	timer := time.AfterFunc(s.cfg.Limits.timeout(j.Spec), j.timeoutAbort)
 	defer timer.Stop()
 
-	prog := harness.Program(j.Spec.Program)
-	dist := workload.Uniform
-	if j.Spec.Distribution != "" {
-		dist, _ = workload.ParseDistribution(j.Spec.Distribution) // validated at admission
-	}
 	run := func(int) ([]string, error) {
-		r, rerr := pr.Run(prog, dist, j.Spec.Buffers)
+		r, rerr := pr.Run(harness.Program(j.Spec.Program), j.Spec.Dist(), j.Spec.Buffers)
 		if rerr == nil {
 			res = r
 		}
 		return r.Resumed, rerr
 	}
-	if attempts := j.Spec.maxAttempts(); attempts <= 1 {
+	if attempts := j.Spec.EffectiveMaxAttempts(); attempts <= 1 {
 		_, err = run(1)
 	} else {
 		// The supervisor composes the same triage the CLI uses, made
@@ -381,23 +376,15 @@ func (s *Server) runJob(j *Job) {
 // dir. The returned cleanup removes the temp dir.
 func (s *Server) params(j *Job) (harness.Params, func(), error) {
 	sp := j.Spec
-	pr := harness.DefaultParams()
-	pr.Nodes = sp.Nodes
-	pr.TotalRecords = sp.Records
-	pr.RecordSize = sp.recordSize()
-	pr.ColumnsPerNode = sp.columnsPerNode()
-	pr.Seed = sp.seed()
-	pr.Verify = !sp.SkipVerify
-	pr.Parallelism = s.effectiveWorkers(sp.Parallelism)
-	if sp.AutoTune {
-		at := fg.DefaultAutoTune()
-		if mw := s.cfg.Limits.MaxWorkers; mw > 0 && at.Max > mw {
-			at.Max = mw
+	pr := harness.DefaultParams().WithSpec(sp)
+	// The worker quota: explicit asks were bounded at admission; the "all
+	// cores" default and the tuner's ceiling are clamped here so one tenant
+	// cannot monopolize the kernel pool.
+	if mw := s.cfg.Limits.MaxWorkers; mw > 0 {
+		if pr.Parallelism == 0 || pr.Parallelism > mw {
+			pr.Parallelism = mw
 		}
-		pr.AutoTune = at
-	}
-	if sp.Disk != nil {
-		pr.Disk = sp.Disk.Model()
+		pr.AutoTune.Max = min(pr.AutoTune.Max, mw)
 	}
 
 	obs := &fg.Observe{
@@ -442,20 +429,6 @@ func (s *Server) params(j *Job) (harness.Params, func(), error) {
 	return pr, cleanup, nil
 }
 
-// effectiveWorkers applies the worker quota to the spec's parallelism
-// knob: explicit asks were bounded at admission; the "all cores" default
-// is clamped here so one tenant cannot monopolize the kernel pool.
-func (s *Server) effectiveWorkers(asked int) int {
-	mw := s.cfg.Limits.MaxWorkers
-	if mw <= 0 {
-		return asked
-	}
-	if asked == 0 || asked > mw {
-		return mw
-	}
-	return asked
-}
-
 // faultHook compiles a fault spec onto a fresh cluster's disk seam: the
 // op_count-th matching disk operation on the target rank panics (panic-op)
 // or fails (disk-err) on the stage goroutine that issued it. Note the
@@ -485,7 +458,7 @@ func faultHook(f *FaultSpec) func(*cluster.Cluster) {
 			if !fire {
 				return nil
 			}
-			if kind == FaultPanicOp {
+			if kind == jobspec.FaultPanicOp {
 				panic(fmt.Errorf("service: injected fault: panic on rank %d %s %q op %d", rank, op, name, want))
 			}
 			return fmt.Errorf("service: injected fault: disk error on rank %d %s %q op %d", rank, op, name, want)

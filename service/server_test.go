@@ -17,6 +17,7 @@ import (
 	"github.com/fg-go/fg/cluster"
 	"github.com/fg-go/fg/internal/check"
 	"github.com/fg-go/fg/internal/harness"
+	"github.com/fg-go/fg/jobspec"
 	"github.com/fg-go/fg/oocsort"
 )
 
@@ -516,7 +517,7 @@ func TestFaultsRejectedWhenDisabled(t *testing.T) {
 	d := startDaemon(t, Config{MaxConcurrent: 1, Log: io.Discard})
 	_, err := d.srv.Submit(JobSpec{
 		Program: "dsort", Nodes: 2, Records: 4096,
-		Fault: &FaultSpec{Kind: FaultPanicOp, Rank: 0, OpCount: 1},
+		Fault: &FaultSpec{Kind: jobspec.FaultPanicOp, Rank: 0, OpCount: 1},
 	})
 	if !errors.Is(err, ErrFaultsDisabled) {
 		t.Fatalf("got %v, want ErrFaultsDisabled", err)

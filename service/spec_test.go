@@ -1,11 +1,14 @@
 package service
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/fg-go/fg/jobspec"
 )
 
 // TestExampleSpecsDecode holds the checked-in examples to the strict
@@ -25,7 +28,7 @@ func TestExampleSpecsDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := DecodeJobSpec(strings.NewReader(string(raw)))
+		s, err := decodeJobSpec(strings.NewReader(string(raw)))
 		if err != nil {
 			t.Errorf("%s: %v", e.Name(), err)
 			continue
@@ -35,6 +38,9 @@ func TestExampleSpecsDecode(t *testing.T) {
 		}
 	}
 }
+
+// decodeJobSpec is the submit handler's decode.
+func decodeJobSpec(r io.Reader) (JobSpec, error) { return jobspec.Decode[JobSpec](r, "job spec") }
 
 func TestDecodeJobSpecRejects(t *testing.T) {
 	cases := []struct{ name, doc, wantSub string }{
@@ -52,11 +58,12 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		{"bad fault kind", `{"program":"dsort","nodes":4,"records":4096,"fault":{"kind":"meteor","rank":0,"op_count":1}}`, "fault kind"},
 		{"fault rank out of range", `{"program":"dsort","nodes":4,"records":4096,"fault":{"kind":"panic-op","rank":4,"op_count":1}}`, "rank"},
 		{"fault op zero", `{"program":"dsort","nodes":4,"records":4096,"fault":{"kind":"panic-op","rank":0,"op_count":0}}`, "op_count"},
+		{"columns overflow", `{"program":"dsort","nodes":4,"records":4096,"columns_per_node":4611686018427387904}`, "divide"},
 		{"not json", `[`, "decode"},
 		{"empty", ``, "decode"},
 	}
 	for _, c := range cases {
-		if _, err := DecodeJobSpec(strings.NewReader(c.doc)); err == nil {
+		if _, err := decodeJobSpec(strings.NewReader(c.doc)); err == nil {
 			t.Errorf("%s: decoded without error", c.name)
 		} else if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantSub)
@@ -98,13 +105,13 @@ func TestLimitsAdmit(t *testing.T) {
 
 func TestTimeoutClamp(t *testing.T) {
 	s := JobSpec{TimeoutSec: 900}
-	if got := s.timeout(Limits{MaxRunSeconds: 300}); got != 300*time.Second {
+	if got := (Limits{MaxRunSeconds: 300}).timeout(s); got != 300*time.Second {
 		t.Fatalf("timeout = %v, want clamp to 300s", got)
 	}
-	if got := (JobSpec{}).timeout(Limits{}); got != 120*time.Second {
+	if got := (Limits{}).timeout(JobSpec{}); got != 120*time.Second {
 		t.Fatalf("default timeout = %v, want 120s", got)
 	}
-	if got := (JobSpec{TimeoutSec: 30}).timeout(Limits{MaxRunSeconds: 300}); got != 30*time.Second {
+	if got := (Limits{MaxRunSeconds: 300}).timeout(JobSpec{TimeoutSec: 30}); got != 30*time.Second {
 		t.Fatalf("explicit timeout = %v, want 30s", got)
 	}
 }

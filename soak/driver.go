@@ -86,14 +86,14 @@ func Run(s Scenario, opt Options) (RunReport, error) {
 		Scenario:    s.Name,
 		Description: s.Description,
 		Program:     s.Program,
-		Ranks:       s.Ranks,
+		Ranks:       s.Nodes,
 		Records:     s.Records,
-		RecordSize:  s.recordSize(),
+		RecordSize:  s.EffectiveRecordSize(),
 		OK:          true,
 	}
 	for t := 1; t <= trials; t++ {
 		fmt.Fprintf(opt.log(), "soak: %s trial %d/%d starting (%d ranks, %s, %d records)\n",
-			s.Name, t, trials, s.Ranks, s.Program, s.Records)
+			s.Name, t, trials, s.Nodes, s.Program, s.Records)
 		tr, err := runTrial(s, opt, runDir, t)
 		if err != nil {
 			return rep, err
@@ -145,7 +145,7 @@ func runTrial(s Scenario, opt Options, runDir string, trial int) (TrialReport, e
 			return tr, err
 		}
 	}
-	peers, err := reservePorts(s.Ranks)
+	peers, err := reservePorts(s.Nodes)
 	if err != nil {
 		return tr, err
 	}
@@ -155,7 +155,7 @@ func runTrial(s Scenario, opt Options, runDir string, trial int) (TrialReport, e
 	// admit a replacement process.
 	watch := newMarkWatch(": failed")
 
-	exitc := make(chan procExit, 4*s.Ranks)
+	exitc := make(chan procExit, 4*s.Nodes)
 	var spawnMu sync.Mutex
 	spawn := func(rank int, kills bool, generation int) (*workerProc, error) {
 		cfg := WorkerConfig{
@@ -206,9 +206,9 @@ func runTrial(s Scenario, opt Options, runDir string, trial int) (TrialReport, e
 	}
 
 	start := time.Now()
-	generation := make([]int, s.Ranks)
-	live := make(map[int]*workerProc, s.Ranks)
-	for r := 0; r < s.Ranks; r++ {
+	generation := make([]int, s.Nodes)
+	live := make(map[int]*workerProc, s.Nodes)
+	for r := 0; r < s.Nodes; r++ {
 		p, err := spawn(r, true, 0)
 		if err != nil {
 			killAll(live)
@@ -260,7 +260,7 @@ func runTrial(s Scenario, opt Options, runDir string, trial int) (TrialReport, e
 
 	finalCode := make(map[int]int)
 	deadline := time.After(s.Timeout())
-	for len(finalCode) < s.Ranks {
+	for len(finalCode) < s.Nodes {
 		select {
 		case e := <-exitc:
 			rank := e.proc.rank
@@ -297,7 +297,7 @@ func runTrial(s Scenario, opt Options, runDir string, trial int) (TrialReport, e
 		case <-deadline:
 			tr.OK = false
 			tr.Error = fmt.Sprintf("trial timed out after %v with %d/%d ranks unfinished",
-				s.Timeout(), s.Ranks-len(finalCode), s.Ranks)
+				s.Timeout(), s.Nodes-len(finalCode), s.Nodes)
 			killAll(live)
 			if probe != nil {
 				fleet := probe.stop()
@@ -344,7 +344,7 @@ type fleetProbe struct {
 
 func startFleetProbe(s Scenario, rank0Stdout *markWatch) *fleetProbe {
 	p := &fleetProbe{
-		ranks: s.Ranks,
+		ranks: s.Nodes,
 		out:   rank0Stdout,
 		stopc: make(chan struct{}),
 		done:  make(chan struct{}),

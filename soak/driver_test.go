@@ -132,8 +132,8 @@ func TestSoakCleanRunNoFaults(t *testing.T) {
 		t.Errorf("clean run engaged resilience machinery: retries=%d restarts=%d deaths=%d",
 			tr.Retries, tr.Restarts, tr.Deaths)
 	}
-	if len(tr.Workers) != s.Ranks {
-		t.Errorf("collected %d worker results, want %d", len(tr.Workers), s.Ranks)
+	if len(tr.Workers) != s.Nodes {
+		t.Errorf("collected %d worker results, want %d", len(tr.Workers), s.Nodes)
 	}
 }
 

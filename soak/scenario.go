@@ -14,7 +14,6 @@ package soak
 
 import (
 	"embed"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,67 +22,36 @@ import (
 	"path"
 	"sort"
 	"strings"
-	"time"
 
-	"github.com/fg-go/fg/workload"
+	"github.com/fg-go/fg/jobspec"
 )
 
 //go:embed scenarios/*.json
 var builtinFS embed.FS
 
-// A Scenario is one declarative soak plan: the cluster shape, the workload,
-// the resilience configuration, and the scheduled faults. Scenarios are
-// checked into soak/scenarios/ as JSON and decoded strictly — an unknown
-// field or an inconsistent plan is an error at load time, never a silent
+// A Scenario is one declarative soak plan: a job spec — the cluster shape,
+// the workload, the resilience configuration, in the same schema fgd
+// accepts — plus what only a soak run has: trials, the failure detector,
+// the telemetry plane, and the scheduled faults. Scenarios are checked into
+// soak/scenarios/ as JSON and decoded strictly — an unknown field or an
+// inconsistent plan is an error at load time, never a silent
 // misconfiguration discovered mid-soak.
+//
+// Each of the spec's Nodes runs as its own OS process. Name is required,
+// and the job-only fields fault, skip_verify and autotune are rejected:
+// soak faults are the Faults schedule, and every soak run verifies.
 type Scenario struct {
-	// Name labels the scenario in reports and history entries.
-	Name string `json:"name"`
+	jobspec.Spec
+
 	// Description says what the scenario proves.
 	Description string `json:"description,omitempty"`
-
-	// Ranks is the cluster size; each rank runs as its own OS process.
-	Ranks int `json:"ranks"`
-	// Program is the sorting program every rank runs: "dsort", "csort",
-	// "csort4", or "dsort-linear".
-	Program string `json:"program"`
-	// Records is the cluster-wide record count N.
-	Records int64 `json:"records"`
-	// RecordSize is bytes per record (>= 16). Zero defaults to 16.
-	RecordSize int `json:"record_size,omitempty"`
-	// ColumnsPerNode fixes the csort geometry and the PDM block. Zero
-	// defaults to 1.
-	ColumnsPerNode int `json:"columns_per_node,omitempty"`
-	// Distribution names the key distribution (workload.ParseDistribution
-	// spelling: "uniform", "poisson", "skew-zipf", ...). Empty defaults to
-	// "uniform".
-	Distribution string `json:"distribution,omitempty"`
-	// Seed makes the workload deterministic. Zero defaults to 1.
-	Seed int64 `json:"seed,omitempty"`
-	// Parallelism is the intra-buffer kernel worker knob (0 = all cores).
-	Parallelism int `json:"parallelism,omitempty"`
-	// Buffers overrides each pipeline's circulating buffer pool (0 keeps
-	// the program default).
-	Buffers int `json:"buffers,omitempty"`
-
 	// Trials repeats the whole run (fresh processes each time) and reports
 	// every trial; zero means one.
 	Trials int `json:"trials,omitempty"`
-	// TimeoutSec bounds one trial's wall clock; past it the driver kills
-	// the fleet and fails the trial. Zero defaults to 120.
-	TimeoutSec int `json:"timeout_sec,omitempty"`
 
-	// Checkpoint enables pass-level checkpointing in a shared per-trial
-	// directory, the substrate a killed rank's replacement resumes from.
-	Checkpoint bool `json:"checkpoint,omitempty"`
-	// MaxAttempts is each rank's supervised attempt budget (1 = run once,
-	// no supervisor). Scenarios that kill ranks need more than 1.
-	MaxAttempts int `json:"max_attempts,omitempty"`
 	// Heartbeat configures the failure detector; required by scenarios
 	// that kill ranks, optional otherwise.
 	Heartbeat *HeartbeatSpec `json:"heartbeat,omitempty"`
-	// Disk overrides the simulated per-node disk model.
-	Disk *DiskSpec `json:"disk,omitempty"`
 	// Telemetry arms the cluster telemetry plane: every rank publishes its
 	// record each interval toward rank 0, whose process serves the fleet
 	// view the driver scrapes and asserts on (every live rank must show up
@@ -111,14 +79,8 @@ type TelemetrySpec struct {
 	StaleAfterMS int `json:"stale_after_ms,omitempty"`
 }
 
-// DiskSpec mirrors pdm.DiskModel.
-type DiskSpec struct {
-	SeekLatencyUS  int     `json:"seek_latency_us"`
-	BytesPerSecond float64 `json:"bytes_per_second"`
-}
-
 // Fault kinds. Each kind compiles onto a different layer of the fault
-// machinery; see Compile in plan.go for the mapping.
+// machinery; see newFaultSet in worker.go for the mapping.
 const (
 	// FaultKillOp SIGKILLs rank Rank from inside, on the OpCount-th disk
 	// operation touching File ("output", "input", or empty for any) —
@@ -178,32 +140,20 @@ type Fault struct {
 	MinBytes int `json:"min_bytes,omitempty"`
 }
 
-var validPrograms = map[string]bool{
-	"dsort": true, "csort": true, "csort4": true, "dsort-linear": true,
-}
-
-// DecodeScenario reads one scenario from JSON, strictly: unknown fields,
-// trailing garbage, and semantically inconsistent plans are all errors. It
-// never panics, whatever the bytes — the property FuzzScenarioPlan holds it
-// to, because scenario files cross the trust boundary between a repo and
-// its CI.
+// DecodeScenario reads one scenario from JSON with jobspec's strict
+// decoder. It never panics, whatever the bytes — the property
+// FuzzScenarioPlan holds it to, because scenario files cross the trust
+// boundary between a repo and its CI.
 func DecodeScenario(r io.Reader) (Scenario, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s Scenario
-	if err := dec.Decode(&s); err != nil {
-		return Scenario{}, fmt.Errorf("soak: decode scenario: %w", err)
-	}
-	if dec.More() {
-		return Scenario{}, errors.New("soak: trailing data after scenario document")
-	}
-	if err := s.Validate(); err != nil {
-		return Scenario{}, err
+	s, err := jobspec.Decode[Scenario](r, "scenario")
+	if err != nil {
+		return Scenario{}, fmt.Errorf("soak: %w", err)
 	}
 	return s, nil
 }
 
-// Validate checks the plan's internal consistency.
+// Validate checks the plan's internal consistency: the job spec's own
+// rules, then the soak-only fields.
 func (s Scenario) Validate() error {
 	if s.Name == "" {
 		return errors.New("soak: scenario needs a name")
@@ -211,33 +161,14 @@ func (s Scenario) Validate() error {
 	if strings.ContainsAny(s.Name, "/ \t\n") {
 		return fmt.Errorf("soak: scenario name %q may not contain slashes or spaces", s.Name)
 	}
-	if s.Ranks < 2 {
-		return fmt.Errorf("soak: scenario %s: need at least 2 ranks, got %d", s.Name, s.Ranks)
+	if err := s.Spec.Validate(); err != nil {
+		return fmt.Errorf("soak: scenario %s: %w", s.Name, err)
 	}
-	if s.Ranks > 64 {
-		return fmt.Errorf("soak: scenario %s: %d ranks is past the loopback port budget", s.Name, s.Ranks)
+	if s.Fault != nil || s.SkipVerify || s.AutoTune {
+		return fmt.Errorf("soak: scenario %s: fault, skip_verify and autotune are job-only fields", s.Name)
 	}
-	if !validPrograms[s.Program] {
-		return fmt.Errorf("soak: scenario %s: unknown program %q", s.Name, s.Program)
-	}
-	if s.Records <= 0 {
-		return fmt.Errorf("soak: scenario %s: non-positive record count %d", s.Name, s.Records)
-	}
-	if s.RecordSize != 0 && s.RecordSize < 16 {
-		return fmt.Errorf("soak: scenario %s: record size %d below minimum 16", s.Name, s.RecordSize)
-	}
-	cols := int64(s.Ranks) * int64(s.columnsPerNode())
-	if s.Records%cols != 0 {
-		return fmt.Errorf("soak: scenario %s: %d records do not divide into %d columns", s.Name, s.Records, cols)
-	}
-	if s.Distribution != "" {
-		if _, err := workload.ParseDistribution(s.Distribution); err != nil {
-			return fmt.Errorf("soak: scenario %s: %w", s.Name, err)
-		}
-	}
-	if s.Trials < 0 || s.TimeoutSec < 0 || s.MaxAttempts < 0 ||
-		s.Parallelism < 0 || s.Buffers < 0 || s.Seed < 0 {
-		return fmt.Errorf("soak: scenario %s: negative scalar in plan", s.Name)
+	if s.Trials < 0 {
+		return fmt.Errorf("soak: scenario %s: negative trials", s.Name)
 	}
 	if h := s.Heartbeat; h != nil {
 		if h.IntervalMS <= 0 {
@@ -245,11 +176,6 @@ func (s Scenario) Validate() error {
 		}
 		if h.SuspectAfterMS < 0 || h.DeadAfterMS < 0 || h.StartupGraceMS < 0 {
 			return fmt.Errorf("soak: scenario %s: negative heartbeat threshold", s.Name)
-		}
-	}
-	if d := s.Disk; d != nil {
-		if d.SeekLatencyUS < 0 || d.BytesPerSecond < 0 {
-			return fmt.Errorf("soak: scenario %s: negative disk model field", s.Name)
 		}
 	}
 	if tl := s.Telemetry; tl != nil {
@@ -272,48 +198,29 @@ func (s Scenario) validateFault(i int, f Fault) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("soak: scenario %s fault %d (%s): %s", s.Name, i, f.Kind, fmt.Sprintf(format, args...))
 	}
-	rankInRange := f.Rank >= 0 && f.Rank < s.Ranks
 	switch f.Kind {
-	case FaultKillOp:
-		if !rankInRange {
-			return bad("rank %d outside [0, %d)", f.Rank, s.Ranks)
-		}
-		if f.OpCount <= 0 {
-			return bad("op_count must be >= 1")
-		}
-	case FaultKillAfter:
-		if !rankInRange {
-			return bad("rank %d outside [0, %d)", f.Rank, s.Ranks)
-		}
-		if f.AfterMS <= 0 {
-			return bad("after_ms must be >= 1")
-		}
-	case FaultPartition:
-		if !rankInRange {
-			return bad("rank %d outside [0, %d)", f.Rank, s.Ranks)
-		}
-		if f.DownMS <= 0 || f.UpMS <= 0 || f.Cycles <= 0 {
-			return bad("down_ms, up_ms, and cycles must all be >= 1")
-		}
-	case FaultDiskSlow:
-		if !rankInRange && f.Rank != -1 {
-			return bad("rank %d is neither -1 (all) nor in [0, %d)", f.Rank, s.Ranks)
-		}
-		if f.LatencyUS <= 0 {
-			return bad("latency_us must be >= 1")
-		}
-	case FaultNetDrop:
-		if !rankInRange {
-			return bad("rank %d outside [0, %d)", f.Rank, s.Ranks)
-		}
-		if f.DropN <= 0 {
-			return bad("drop_n must be >= 1")
-		}
-		if f.MinBytes < 0 {
-			return bad("min_bytes must be >= 0")
-		}
+	case FaultKillOp, FaultKillAfter, FaultPartition, FaultDiskSlow, FaultNetDrop:
 	default:
 		return bad("unknown fault kind")
+	}
+	if (f.Rank < 0 || f.Rank >= s.Nodes) && (f.Kind != FaultDiskSlow || f.Rank != -1) {
+		return bad("rank %d outside [0, %d) (only disk-slow takes -1 for all)", f.Rank, s.Nodes)
+	}
+	switch {
+	case f.Kind == FaultKillOp && f.OpCount <= 0:
+		return bad("op_count must be >= 1")
+	case f.Kind == FaultKillAfter && f.AfterMS <= 0:
+		return bad("after_ms must be >= 1")
+	case f.Kind == FaultPartition && (f.DownMS <= 0 || f.UpMS <= 0 || f.Cycles <= 0):
+		return bad("down_ms, up_ms, and cycles must all be >= 1")
+	case f.Kind == FaultDiskSlow && f.LatencyUS <= 0:
+		return bad("latency_us must be >= 1")
+	case f.Kind == FaultNetDrop && f.DropN <= 0:
+		return bad("drop_n must be >= 1")
+	case f.Kind == FaultNetDrop && f.MinBytes < 0:
+		return bad("min_bytes must be >= 0")
+	case f.Kind == FaultNetDrop && s.MaxAttempts <= 1:
+		return bad("net-drop fails the attempt; max_attempts > 1 is required to absorb it")
 	}
 	if kills := f.Kind == FaultKillOp || f.Kind == FaultKillAfter; kills {
 		if f.Rank == 0 {
@@ -329,36 +236,10 @@ func (s Scenario) validateFault(i int, f Fault) error {
 			return bad("a restarted rank needs checkpoint: true to resume")
 		}
 	}
-	if (f.Kind == FaultNetDrop) && s.MaxAttempts <= 1 {
-		return fmt.Errorf("soak: scenario %s fault %d (%s): net-drop fails the attempt; max_attempts > 1 is required to absorb it", s.Name, i, f.Kind)
-	}
 	return nil
 }
 
-// Defaulted accessors: zero values in the JSON mean "the usual".
-
-func (s Scenario) recordSize() int     { return defaulted(s.RecordSize, 16) }
-func (s Scenario) columnsPerNode() int { return defaulted(s.ColumnsPerNode, 1) }
-func (s Scenario) seed() int64 {
-	if s.Seed == 0 {
-		return 1
-	}
-	return s.Seed
-}
-func (s Scenario) trials() int      { return defaulted(s.Trials, 1) }
-func (s Scenario) maxAttempts() int { return defaulted(s.MaxAttempts, 1) }
-
-// Timeout returns the per-trial wall-clock bound.
-func (s Scenario) Timeout() time.Duration {
-	return time.Duration(defaulted(s.TimeoutSec, 120)) * time.Second
-}
-
-func defaulted(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}
+func (s Scenario) trials() int { return max(s.Trials, 1) }
 
 // LoadScenario reads a scenario from a file on disk.
 func LoadScenario(p string) (Scenario, error) {

@@ -25,8 +25,8 @@ func FuzzScenarioPlan(f *testing.F) {
 		}
 		f.Add(string(raw))
 	}
-	f.Add(`{"name": "x", "ranks": 2, "program": "dsort", "records": 4096}`)
-	f.Add(`{"name": "x", "ranks": 1e9, "program": "dsort", "records": -1}`)
+	f.Add(`{"name": "x", "nodes": 2, "program": "dsort", "records": 4096}`)
+	f.Add(`{"name": "x", "nodes": 1e9, "program": "dsort", "records": -1}`)
 	f.Add(`{"name": "x", "unknown": {"deeply": ["nested"]}}`)
 	f.Add(`{"faults": [{"kind": "kill-op", "rank": 99999999999999999999}]}`)
 	f.Add(`{} {}`)
@@ -37,19 +37,18 @@ func FuzzScenarioPlan(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A decoded plan must be internally consistent: Validate already ran
-		// inside DecodeScenario, so spot-check the invariants the driver
-		// leans on hardest.
-		if s.Ranks < 2 || s.Ranks > 64 {
-			t.Fatalf("decoded scenario with %d ranks", s.Ranks)
-		}
-		if s.Records <= 0 {
-			t.Fatalf("decoded scenario with %d records", s.Records)
-		}
+		// The job part's invariants are FuzzJobSpec's; spot-check the
+		// soak-only ones the driver leans on hardest.
 		for _, fl := range s.Faults {
-			if fl.Rank >= s.Ranks {
-				t.Fatalf("fault rank %d outside %d-rank cluster", fl.Rank, s.Ranks)
+			if fl.Rank < -1 || fl.Rank >= s.Nodes {
+				t.Fatalf("fault rank %d outside %d-rank cluster", fl.Rank, s.Nodes)
 			}
+			if fl.Rank == 0 && (fl.Kind == FaultKillOp || fl.Kind == FaultKillAfter) {
+				t.Fatalf("decoded a plan that kills rank 0")
+			}
+		}
+		if s.trials() < 1 {
+			t.Fatalf("decoded scenario with %d trials", s.trials())
 		}
 	})
 }

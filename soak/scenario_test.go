@@ -32,7 +32,7 @@ func TestBuiltinScenariosDecodeAndValidate(t *testing.T) {
 // TestDecodeScenarioRejects: the strict decoder must reject the plans that
 // would otherwise be discovered mid-soak.
 func TestDecodeScenarioRejects(t *testing.T) {
-	base := `"ranks": 2, "program": "dsort", "records": 4096`
+	base := `"nodes": 2, "program": "dsort", "records": 4096`
 	hb := `"heartbeat": {"interval_ms": 25}`
 	cases := []struct {
 		name, json, wantErr string
@@ -41,9 +41,9 @@ func TestDecodeScenarioRejects(t *testing.T) {
 		{"trailing garbage", `{"name": "x", ` + base + `} {"again": true}`, "trailing data"},
 		{"no name", `{` + base + `}`, "needs a name"},
 		{"name with slash", `{"name": "a/b", ` + base + `}`, "slashes"},
-		{"one rank", `{"name": "x", "ranks": 1, "program": "dsort", "records": 4096}`, "at least 2 ranks"},
-		{"bad program", `{"name": "x", "ranks": 2, "program": "qsort", "records": 4096}`, "unknown program"},
-		{"indivisible records", `{"name": "x", "ranks": 2, "program": "dsort", "records": 4097}`, "divide"},
+		{"one rank", `{"name": "x", "nodes": 1, "program": "dsort", "records": 4096}`, "at least 2 nodes"},
+		{"bad program", `{"name": "x", "nodes": 2, "program": "qsort", "records": 4096}`, "unknown program"},
+		{"indivisible records", `{"name": "x", "nodes": 2, "program": "dsort", "records": 4097}`, "divide"},
 		{"bad distribution", `{"name": "x", ` + base + `, "distribution": "bimodal"}`, "unknown distribution"},
 		{"tiny records", `{"name": "x", ` + base + `, "record_size": 8}`, "below minimum"},
 		{"negative seed", `{"name": "x", ` + base + `, "seed": -1}`, "negative scalar"},
@@ -54,6 +54,13 @@ func TestDecodeScenarioRejects(t *testing.T) {
 		{"kill without heartbeat", `{"name": "x", ` + base + `, "max_attempts": 2, "faults": [{"kind": "kill-op", "rank": 1, "op_count": 1}]}`, "heartbeat"},
 		{"restart without checkpoint", `{"name": "x", ` + base + `, "max_attempts": 2, ` + hb + `, "faults": [{"kind": "kill-op", "rank": 1, "op_count": 1, "restart": true}]}`, "checkpoint"},
 		{"partition shape", `{"name": "x", ` + base + `, "faults": [{"kind": "partition", "rank": 1, "down_ms": 100}]}`, "cycles"},
+		{"negative columns", `{"name": "x", ` + base + `, "columns_per_node": -1}`, "negative scalar"},
+		{"records past 2^40", `{"name": "x", "nodes": 2, "program": "dsort", "records": 2199023255552}`, "sanity bound"},
+		{"huge records", `{"name": "x", ` + base + `, "record_size": 2000000}`, "sanity bound"},
+		{"old ranks key", `{"name": "x", "ranks": 2, "program": "dsort", "records": 4096}`, "unknown field"},
+		{"job-only fault", `{"name": "x", ` + base + `, "fault": {"kind": "panic-op", "rank": 1, "op_count": 1}}`, "job-only"},
+		{"job-only skip_verify", `{"name": "x", ` + base + `, "skip_verify": true}`, "job-only"},
+		{"job-only autotune", `{"name": "x", ` + base + `, "autotune": true}`, "job-only"},
 		{"net-drop unabsorbed", `{"name": "x", ` + base + `, "faults": [{"kind": "net-drop", "rank": 1, "drop_n": 1}]}`, "max_attempts"},
 	}
 	for _, tc := range cases {
@@ -72,23 +79,23 @@ func TestDecodeScenarioRejects(t *testing.T) {
 // TestScenarioDefaults: zero-valued knobs mean "the usual".
 func TestScenarioDefaults(t *testing.T) {
 	s, err := DecodeScenario(strings.NewReader(
-		`{"name": "d", "ranks": 2, "program": "dsort", "records": 4096}`))
+		`{"name": "d", "nodes": 2, "program": "dsort", "records": 4096}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.recordSize(); got != 16 {
+	if got := s.EffectiveRecordSize(); got != 16 {
 		t.Errorf("record size default %d", got)
 	}
 	if got := s.trials(); got != 1 {
 		t.Errorf("trials default %d", got)
 	}
-	if got := s.maxAttempts(); got != 1 {
+	if got := s.EffectiveMaxAttempts(); got != 1 {
 		t.Errorf("max attempts default %d", got)
 	}
 	if got := s.Timeout().Seconds(); got != 120 {
 		t.Errorf("timeout default %vs", got)
 	}
-	if got := s.seed(); got != 1 {
+	if got := s.EffectiveSeed(); got != 1 {
 		t.Errorf("seed default %d", got)
 	}
 }

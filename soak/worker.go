@@ -25,7 +25,6 @@ import (
 	"github.com/fg-go/fg/internal/faultinject"
 	"github.com/fg-go/fg/internal/harness"
 	"github.com/fg-go/fg/oocsort"
-	"github.com/fg-go/fg/pdm"
 	"github.com/fg-go/fg/supervise"
 	"github.com/fg-go/fg/workload"
 )
@@ -130,23 +129,20 @@ func loadWorkerConfig(path string) (WorkerConfig, error) {
 	if err := cfg.Scenario.Validate(); err != nil {
 		return WorkerConfig{}, err
 	}
-	if cfg.Rank < 0 || cfg.Rank >= cfg.Scenario.Ranks || len(cfg.Peers) != cfg.Scenario.Ranks {
+	if cfg.Rank < 0 || cfg.Rank >= cfg.Scenario.Nodes || len(cfg.Peers) != cfg.Scenario.Nodes {
 		return WorkerConfig{}, fmt.Errorf("%s: rank %d / %d peers inconsistent with %d ranks",
-			path, cfg.Rank, len(cfg.Peers), cfg.Scenario.Ranks)
+			path, cfg.Rank, len(cfg.Peers), cfg.Scenario.Nodes)
 	}
 	return cfg, nil
 }
 
-func runWorker(cfg WorkerConfig) int {
+// workerParams compiles the scenario onto this rank's harness.Params: the
+// shared job-spec compile over a zero base (soak ranks use no network
+// model), plus the TCP transport, checkpoint directory, failure detector,
+// telemetry interval, and supervisor the soak-only fields ask for.
+func workerParams(cfg WorkerConfig) harness.Params {
 	s := cfg.Scenario
 	pr := harness.Params{
-		Nodes:          s.Ranks,
-		TotalRecords:   s.Records,
-		RecordSize:     s.recordSize(),
-		ColumnsPerNode: s.columnsPerNode(),
-		Seed:           s.seed(),
-		Verify:         true,
-		Parallelism:    s.Parallelism,
 		Transport: cluster.TransportConfig{
 			Kind:        cluster.TransportTCP,
 			Peers:       cfg.Peers,
@@ -154,13 +150,7 @@ func runWorker(cfg WorkerConfig) int {
 			DialTimeout: 30 * time.Second,
 		},
 		CheckpointDir: cfg.CheckpointDir,
-	}
-	if d := s.Disk; d != nil {
-		pr.Disk = pdm.DiskModel{
-			SeekLatency:    time.Duration(d.SeekLatencyUS) * time.Microsecond,
-			BytesPerSecond: d.BytesPerSecond,
-		}
-	}
+	}.WithSpec(s.Spec)
 	if h := s.Heartbeat; h != nil {
 		pr.Health = cluster.HealthConfig{
 			Interval:     time.Duration(h.IntervalMS) * time.Millisecond,
@@ -169,27 +159,37 @@ func runWorker(cfg WorkerConfig) int {
 			StartupGrace: time.Duration(h.StartupGraceMS) * time.Millisecond,
 		}
 	}
-	var ct *harness.ClusterTelemetry
 	if tl := s.Telemetry; tl != nil {
 		// Every rank publishes; the registry gives the records their stage
-		// taxonomy. Rank 0 — the aggregator, the one rank no scenario may
-		// kill — additionally serves the fleet view and tells the driver
-		// where to scrape it.
+		// taxonomy.
 		pr.Observe = &fg.Observe{Metrics: fg.NewMetricsRegistry()}
 		pr.Telemetry = cluster.TelemetryConfig{
 			Interval:   time.Duration(tl.IntervalMS) * time.Millisecond,
 			StaleAfter: time.Duration(tl.StaleAfterMS) * time.Millisecond,
 		}
-		if cfg.Rank == 0 {
-			served, err := harness.ServeClusterTelemetry("127.0.0.1:0")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fgsoak worker: fleet view server: %v\n", err)
-				return ExitConfigError
-			}
-			ct = served
-			pr.OnTelemetry = ct.SetPlane
-			fmt.Printf("%s%s\n", TelemetryPrefix, ct.Addr())
+	}
+	if n := s.EffectiveMaxAttempts(); n > 1 {
+		pr.Supervise = n
+		pr.SuperviseLog = os.Stderr
+	}
+	return pr
+}
+
+func runWorker(cfg WorkerConfig) int {
+	s := cfg.Scenario
+	pr := workerParams(cfg)
+	var ct *harness.ClusterTelemetry
+	if s.Telemetry != nil && cfg.Rank == 0 {
+		// Rank 0 — the aggregator, the one rank no scenario may kill —
+		// serves the fleet view and tells the driver where to scrape it.
+		served, err := harness.ServeClusterTelemetry("127.0.0.1:0")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fgsoak worker: fleet view server: %v\n", err)
+			return ExitConfigError
 		}
+		ct = served
+		pr.OnTelemetry = ct.SetPlane
+		fmt.Printf("%s%s\n", TelemetryPrefix, ct.Addr())
 	}
 
 	res := WorkerResult{Rank: cfg.Rank, Attempts: 1}
@@ -197,14 +197,10 @@ func runWorker(cfg WorkerConfig) int {
 
 	// The supervisor's report carries attempt counts and per-attempt errors;
 	// the driver reads them from the result line instead of scraping logs.
-	if s.maxAttempts() > 1 {
-		pr.Supervise = s.maxAttempts()
-		pr.SuperviseLog = os.Stderr
-		pr.OnSuperviseReport = func(rep supervise.Report) {
-			rmu.Lock()
-			res.Attempts = len(rep.Attempts)
-			rmu.Unlock()
-		}
+	pr.OnSuperviseReport = func(rep supervise.Report) {
+		rmu.Lock()
+		res.Attempts = len(rep.Attempts)
+		rmu.Unlock()
 	}
 
 	spec, err := pr.Spec(workload.Uniform) // distribution irrelevant to the names
@@ -230,11 +226,7 @@ func runWorker(cfg WorkerConfig) int {
 		faults.install(c)
 	}
 
-	dist := workload.Uniform
-	if s.Distribution != "" {
-		dist, _ = workload.ParseDistribution(s.Distribution) // validated already
-	}
-	run, err := pr.Run(harness.Program(s.Program), dist, s.Buffers)
+	run, err := pr.Run(harness.Program(s.Program), s.Dist(), s.Buffers)
 	faults.stop() // churn goroutines must be joined before the leak check
 	ct.Close()    // and so must the fleet-view server's accept loop
 
@@ -339,7 +331,7 @@ func newFaultSet(s Scenario, cfg WorkerConfig, spec oocsort.Spec) *faultSet {
 			if f.Rank != cfg.Rank {
 				continue
 			}
-			inj := faultinject.New(faultinject.Config{FailN: f.DropN, Seed: s.seed()})
+			inj := faultinject.New(faultinject.Config{FailN: f.DropN, Seed: s.EffectiveSeed()})
 			fs.netHook = inj.NetHook(cluster.NetFaultDrop, f.MinBytes)
 		case FaultPartition:
 			fs.partitions = append(fs.partitions, f)
