@@ -746,8 +746,8 @@ func (c *Cluster) EmitMetrics(emit fg.EmitFunc) {
 // Observe wires the cluster into an fg observability bundle — the
 // cluster's counterpart of fg.Observe.Attach. With a Metrics registry the
 // cluster's counters (EmitMetrics) join every scrape and its peer health
-// the registry's /status; with a Tracer or FlightRecorder every local
-// node's blocking sends and receives land on that timeline as comm events.
+// the registry's /status; with a Tracer every local node's blocking sends
+// and receives land on its timeline as comm events.
 // The returned detach function (safe to repeat) undoes all of it, leaving
 // the counters' final values in the registry, so a long-lived bundle
 // neither keeps the cluster alive nor is fed by a dead one. A nil bundle
@@ -761,33 +761,27 @@ func (c *Cluster) Observe(o *fg.Observe) (detach func()) {
 		retire = reg.RegisterFunc(c.EmitMetrics)
 		reg.RegisterPeerHealth(c.PeerHealth)
 	}
-	tr, fr := o.Tracer, o.Flight
-	traced := tr != nil || fr != nil
-	if traced {
+	tr := o.Tracer
+	if tr != nil {
 		for _, n := range c.local {
 			pipe := fmt.Sprintf("node%d", n.rank)
 			n.SetCommObserver(func(op string, peer, nbytes int, xfer int64, start, end time.Time) {
-				e := fg.Event{
+				s, e := tr.Span(start, end)
+				tr.Record(fg.Event{
 					Stage:    "comm." + op,
 					Pipeline: pipe,
 					Kind:     fg.EventComm,
 					Round:    -1,
 					Bytes:    int64(nbytes),
 					Xfer:     xfer,
-				}
-				if tr != nil {
-					e.Start, e.End = tr.Span(start, end)
-					tr.Record(e)
-				}
-				if fr != nil {
-					e.Start, e.End = fr.Span(start, end)
-					fr.Record(e)
-				}
+					Start:    s,
+					End:      e,
+				})
 			})
 		}
 	}
 	return func() {
-		if traced {
+		if tr != nil {
 			for _, n := range c.local {
 				n.SetCommObserver(nil)
 			}

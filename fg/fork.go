@@ -236,6 +236,11 @@ func runBranchStage(nw *Network, g *group, rt *forkRuntime, branch, idx int) {
 			return
 		}
 		s.stats.acceptWait.Add(int64(time.Since(start)))
+		round := -1
+		if !b.caboose {
+			round = b.Round
+		}
+		nw.traceWait(s, b.pipe, round, start)
 		if b.caboose {
 			s.stats.setPark(StageDone, time.Now())
 			_ = out.push(b, nw.done)

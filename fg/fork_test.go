@@ -544,3 +544,36 @@ func TestBadGroupDoesNotStrandEarlierGroups(t *testing.T) {
 	}
 	t.Errorf("goroutines grew from %d to %d after failed Run", before, runtime.NumGoroutine())
 }
+
+// TestForkBranchStagesTraceWaits: branch stages block on their queues like
+// any other stage, so a tracer must see their waits as well as the post-join
+// stage's. A 2 ms stage ahead of the fork makes every first pop wait.
+func TestForkBranchStagesTraceWaits(t *testing.T) {
+	tr := NewTracer(0)
+	nw := NewNetwork("forkwaits")
+	nw.SetTracer(tr)
+	p := nw.AddPipeline("main", Buffers(2), Rounds(6))
+	p.AddStage("slow", func(ctx *Ctx, b *Buffer) error {
+		time.Sleep(2 * time.Millisecond)
+		return nil
+	})
+	fork := p.AddFork("route", 2, func(ctx *Ctx, b *Buffer) (int, error) { return b.Round % 2, nil })
+	fork.Branch(0).AddStage("b0", func(ctx *Ctx, b *Buffer) error { return nil })
+	fork.Branch(1).AddStage("b1", func(ctx *Ctx, b *Buffer) error { return nil })
+	fork.Join()
+	p.AddStage("after", func(ctx *Ctx, b *Buffer) error { return nil })
+	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	waits := map[string]int{}
+	for _, e := range tr.Events() {
+		if e.Kind == EventWait {
+			waits[e.Stage]++
+		}
+	}
+	for _, st := range []string{"b0", "b1", "after"} {
+		if waits[st] == 0 {
+			t.Errorf("stage %q recorded no wait events (waits by stage: %v)", st, waits)
+		}
+	}
+}

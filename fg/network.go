@@ -30,7 +30,6 @@ type Network struct {
 	completion sync.WaitGroup // one Done per pipeline, by the sinks
 
 	tracer *Tracer
-	flight *FlightRecorder
 
 	// Wall-clock run state, readable mid-run by Stats. runStart is written
 	// before runState stores runStateRunning and runNanos before it stores

@@ -9,12 +9,10 @@ import "sync"
 // Observe is typically shared by every network of a run, so the passes
 // land on one trace timeline and one metrics registry.
 type Observe struct {
-	// Tracer, if set, is attached to each network before Run.
+	// Tracer, if set, is attached to each network before Run. Its ring
+	// keeps the most recent events, so it serves both as the run's
+	// timeline and as the black box dumped on a stall or panic.
 	Tracer *Tracer
-	// Flight, if set, is attached to each network before Run: the last few
-	// thousand events stay in its ring as a black box even when Tracer is
-	// nil (see FlightRecorder).
-	Flight *FlightRecorder
 	// Metrics, if set, has each network registered before Run, so a scrape
 	// of the registry mid-run sees the network's live counters. A Tracer in
 	// the same bundle is registered too, surfacing fg_trace_dropped_total.
@@ -42,16 +40,16 @@ func (o *Observe) AttachTuner(t *AutoTuner) {
 	o.Metrics.RegisterTuner(t)
 }
 
-// Attach wires the bundle into nw: the tracer and flight recorder are
-// attached, the network (and tracer) registered with the metrics registry,
-// and the watchdog started, all before Run. The returned finish function
-// is to be called (typically deferred) once Run has returned; it stops the
-// watchdog, replaces the network in the registry by its final snapshot (so
-// the registry does not keep the network alive), and delivers that
-// snapshot to OnStats — exactly once, even if called again (a runner that
-// both defers it and calls it on an error path, or a Run that returns a
-// *PanicError, must not double-report). Attach on a nil Observe is a
-// no-op, and the finish function is never nil:
+// Attach wires the bundle into nw: the tracer is attached, the network
+// (and tracer) registered with the metrics registry, and the watchdog
+// started, all before Run. The returned finish function is to be called
+// (typically deferred) once Run has returned; it stops the watchdog,
+// replaces the network in the registry by its final snapshot (so the
+// registry does not keep the network alive), and delivers that snapshot to
+// OnStats — exactly once, even if called again (a runner that both defers
+// it and calls it on an error path, or a Run that returns a *PanicError,
+// must not double-report). Attach on a nil Observe is a no-op, and the
+// finish function is never nil:
 //
 //	finish := cfg.Observe.Attach(nw)
 //	defer finish()
@@ -62,9 +60,6 @@ func (o *Observe) Attach(nw *Network) func() {
 	}
 	if o.Tracer != nil {
 		nw.SetTracer(o.Tracer)
-	}
-	if o.Flight != nil {
-		nw.SetFlightRecorder(o.Flight)
 	}
 	reg := o.Metrics
 	if reg != nil {

@@ -332,7 +332,7 @@ func (g *group) build() error {
 		g.queues[i] = newQueue(totalBufs+len(g.pipes)+maxBranches, spscAt(i))
 	}
 	// A push that misses the fast path is an invariant violation; surface
-	// it in the flight recorder, tagged with the edge's consumer.
+	// it in the tracer, tagged with the edge's consumer.
 	for i := range g.queues {
 		consumer := "sink"
 		if i < nStages {

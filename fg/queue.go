@@ -32,8 +32,8 @@ var errShutdown = errors.New("fg: network shut down")
 //
 // A push that misses the fast path breaks the sized-to-never-fill
 // invariant; both implementations count it (slowPushes) and invoke the
-// build-time hook so the breach surfaces in stats, metrics, and the flight
-// recorder instead of hiding as latency.
+// build-time hook so the breach surfaces in stats, metrics, and the
+// trace instead of hiding as latency.
 type queue interface {
 	// push enqueues b, failing only if the network aborts first.
 	push(b *Buffer, done <-chan struct{}) error

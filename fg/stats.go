@@ -32,7 +32,7 @@ type StageStats struct {
 	// SlowPushes counts pushes into the stage's input queue that missed the
 	// non-blocking fast path. Queues are sized so that pushes never block by
 	// construction; a nonzero count is an invariant violation worth
-	// investigating (it also emits a flight-recorder event).
+	// investigating (it also emits a trace event).
 	SlowPushes int64
 	// State is the stage's instantaneous activity and InState how long it has
 	// been there. A stage Working for seconds with no round progress is stuck

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -57,9 +56,9 @@ const (
 	EventComm
 	// EventSlowPush marks an inter-stage queue push that missed its
 	// non-blocking fast path — a violation of the queues' sized-to-never-
-	// fill invariant, recorded (zero-length, into the flight recorder) so
-	// capacity-sizing bugs surface instead of hiding as latency. Stage
-	// names the edge's consumer.
+	// fill invariant, recorded (zero-length) so capacity-sizing bugs
+	// surface instead of hiding as latency. Stage names the edge's
+	// consumer. Gantt leaves these out; the Chrome trace shows them.
 	EventSlowPush
 )
 
@@ -79,47 +78,61 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
-// A Tracer collects events from one or more network runs (dsort attaches
-// one tracer to every pass's network, so the passes share a timeline). The
-// zero value is unused; create with NewTracer and attach with
-// Network.SetTracer before Run.
+// A Tracer records the most recent events of one or more network runs in
+// a bounded ring (dsort attaches one tracer to every pass's network, so the
+// passes share a timeline). Once the ring holds limit events, each new
+// event overwrites the oldest, so a run that hangs or crashes still leaves
+// a readable black box of its final moments, and a generous limit keeps a
+// whole run's timeline. The ring grows by append up to the limit: a large
+// limit costs memory only as events arrive. The zero value is unused;
+// create with NewTracer and attach with Network.SetTracer (or via
+// Observe.Tracer) before Run. All methods are safe for concurrent use.
+//
+// One mutex guards the ring: recording is a struct copy under it, and a
+// snapshot taken under the same lock never sees a torn event.
 type Tracer struct {
 	mu      sync.Mutex
 	epoch   time.Time
-	events  []Event
+	events  []Event // the ring; once full, events[next] is the oldest
+	next    int
 	limit   int
-	dropped atomic.Int64
+	dropped int64
 }
 
-// NewTracer creates a tracer retaining at most limit events (0 means a
-// generous default). Events past the limit are dropped — counted by
-// Dropped — keeping tracing safe for long runs.
+// NewTracer creates a tracer retaining the most recent limit events (0
+// means 4096). Older events are overwritten — counted by Dropped — keeping
+// tracing safe for long runs.
 func NewTracer(limit int) *Tracer {
 	if limit <= 0 {
-		limit = 1 << 16
+		limit = 4096
 	}
 	return &Tracer{epoch: time.Now(), limit: limit}
 }
 
-// Record adds an event. The framework calls it for work, wait, and retry
-// intervals; external recorders (the cluster's communication observer, say)
-// may call it directly with intervals converted through Span. Events past
-// the tracer's limit are dropped and counted.
+// Record adds an event, overwriting the oldest once the ring is full. The
+// framework calls it for work, wait, retry, and slow-push events; external
+// recorders (the cluster's communication observer, say) may call it
+// directly with intervals converted through Span.
 func (tr *Tracer) Record(e Event) {
 	tr.mu.Lock()
 	if len(tr.events) < tr.limit {
 		tr.events = append(tr.events, e)
-		tr.mu.Unlock()
-		return
+	} else {
+		tr.events[tr.next] = e
+		tr.next = (tr.next + 1) % tr.limit
+		tr.dropped++
 	}
 	tr.mu.Unlock()
-	tr.dropped.Add(1)
 }
 
-// Dropped returns how many events were discarded because the tracer was
-// full. A non-zero count means the timeline is truncated; raise the limit
-// passed to NewTracer to capture the whole run.
-func (tr *Tracer) Dropped() int64 { return tr.dropped.Load() }
+// Dropped returns how many events were overwritten to make room. A
+// non-zero count means the timeline has lost its beginning; raise the
+// limit passed to NewTracer to capture the whole run.
+func (tr *Tracer) Dropped() int64 {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.dropped
+}
 
 // Span converts a wall-clock interval into the tracer's epoch-relative
 // form, for building Events outside the framework.
@@ -127,13 +140,22 @@ func (tr *Tracer) Span(start, end time.Time) (s, e time.Duration) {
 	return start.Sub(tr.epoch), end.Sub(tr.epoch)
 }
 
-// Events returns the recorded events in chronological start order.
+// Events returns the retained events in chronological start order. It may
+// be called at any time, including while stages are recording.
 func (tr *Tracer) Events() []Event {
+	out, _ := tr.snapshot()
+	return out
+}
+
+// snapshot copies the retained events, in start order, and the dropped
+// count as of the same instant.
+func (tr *Tracer) snapshot() ([]Event, int64) {
 	tr.mu.Lock()
 	out := append([]Event(nil), tr.events...)
+	dropped := tr.dropped
 	tr.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	return out, dropped
 }
 
 // SetTracer attaches a tracer to the network; every round stage's work and
@@ -145,36 +167,29 @@ func (nw *Network) SetTracer(tr *Tracer) {
 	nw.tracer = tr
 }
 
-// emitTrace records one interval into the attached tracer and flight
-// recorder, each against its own epoch. The callers have already checked
-// that at least one sink is attached, so an unobserved network never
-// reaches this path.
+// emitTrace records one interval into the attached tracer. The callers
+// have already checked that a tracer is attached, so an unobserved network
+// never reaches this path.
 func (nw *Network) emitTrace(kind EventKind, s *Stage, p *Pipeline, round int, start, now time.Time) {
-	e := Event{Stage: s.name, Pipeline: p.name, Kind: kind, Round: round}
-	if tr := nw.tracer; tr != nil {
-		e.Start, e.End = start.Sub(tr.epoch), now.Sub(tr.epoch)
-		tr.Record(e)
-	}
-	if fr := nw.flight; fr != nil {
-		e.Start, e.End = start.Sub(fr.epoch), now.Sub(fr.epoch)
-		fr.Record(e)
-	}
+	tr := nw.tracer
+	tr.Record(Event{Stage: s.name, Pipeline: p.name, Kind: kind, Round: round,
+		Start: start.Sub(tr.epoch), End: now.Sub(tr.epoch)})
 }
 
-// traceWork records a work interval if tracing or flight recording is on.
+// traceWork records a work interval if tracing is on.
 func (nw *Network) traceWork(s *Stage, p *Pipeline, round int, start time.Time) {
-	if nw.tracer == nil && nw.flight == nil {
+	if nw.tracer == nil {
 		return
 	}
 	nw.emitTrace(EventWork, s, p, round, start, time.Now())
 }
 
-// traceWait records a wait interval if tracing or flight recording is on
-// and it is long enough to matter (sub-10us waits are queue handoffs, not
-// stalls). round is the round of the buffer whose arrival ended the wait,
-// or -1 when the wait ended in end-of-stream or shutdown.
+// traceWait records a wait interval if tracing is on and it is long enough
+// to matter (sub-10us waits are queue handoffs, not stalls). round is the
+// round of the buffer whose arrival ended the wait, or -1 when the wait
+// ended in end-of-stream or shutdown.
 func (nw *Network) traceWait(s *Stage, p *Pipeline, round int, start time.Time) {
-	if nw.tracer == nil && nw.flight == nil {
+	if nw.tracer == nil {
 		return
 	}
 	now := time.Now()
@@ -186,32 +201,38 @@ func (nw *Network) traceWait(s *Stage, p *Pipeline, round int, start time.Time) 
 
 // traceRetry records one failed attempt of a Retry-wrapped stage.
 func (nw *Network) traceRetry(s *Stage, p *Pipeline, round int, start time.Time) {
-	if nw.tracer == nil && nw.flight == nil {
+	if nw.tracer == nil {
 		return
 	}
 	nw.emitTrace(EventRetry, s, p, round, start, time.Now())
 }
 
 // noteSlowPush records a queue invariant violation — a push that missed
-// its non-blocking fast path — into the flight recorder, as a zero-length
-// event naming the group and the edge's consuming stage. Installed on
-// every queue at build time; the per-queue counter feeds Stats regardless,
-// so the breach is visible even without a flight recorder attached.
+// its non-blocking fast path — into the tracer, as a zero-length event
+// naming the group and the edge's consuming stage. Installed on every
+// queue at build time; the per-queue counter feeds Stats regardless, so
+// the breach is visible even without a tracer attached.
 func (nw *Network) noteSlowPush(group, consumer string) {
-	fr := nw.flight
-	if fr == nil {
+	tr := nw.tracer
+	if tr == nil {
 		return
 	}
-	now := time.Now()
-	s, e := fr.Span(now, now)
-	fr.Record(Event{Stage: consumer, Pipeline: group, Kind: EventSlowPush, Round: -1, Start: s, End: e})
+	at := time.Since(tr.epoch)
+	tr.Record(Event{Stage: consumer, Pipeline: group, Kind: EventSlowPush, Round: -1, Start: at, End: at})
 }
 
 // Gantt renders the trace as an ASCII chart: one row per stage, time
 // flowing right, '#' for work, '.' for waiting, 'r' for retried attempts,
-// and '~' for communication. width is the chart width in characters.
+// and '~' for communication. Zero-length slow-push markers are left out.
+// width is the chart width in characters.
 func (tr *Tracer) Gantt(width int) string {
-	events := tr.Events()
+	all, dropped := tr.snapshot()
+	events := all[:0]
+	for _, e := range all {
+		if e.Kind != EventSlowPush {
+			events = append(events, e)
+		}
+	}
 	if len(events) == 0 {
 		return "(no events)\n"
 	}
@@ -236,8 +257,8 @@ func (tr *Tracer) Gantt(width int) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace: %v total, %d events", maxEnd.Round(time.Millisecond), len(events))
-	if d := tr.Dropped(); d > 0 {
-		fmt.Fprintf(&b, " (%d dropped: timeline truncated)", d)
+	if dropped > 0 {
+		fmt.Fprintf(&b, " (%d dropped: timeline truncated)", dropped)
 	}
 	fmt.Fprintf(&b, " ('#'=work, '.'=wait, 'r'=retry, '~'=comm)\n")
 	for _, key := range order {
@@ -317,14 +338,9 @@ const traceMetaName = "fg_trace_meta"
 // files once merged with MergeChromeTraces. Events are emitted in
 // chronological start order with timestamps in microseconds since the
 // tracer's epoch; an fg_trace_meta metadata event records the epoch and the
-// dropped-event count.
+// dropped-event count. Dumped mid-run, it is the run's black box.
 func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
-	return writeChromeJSON(w, tr.Events(), tr.epoch, tr.Dropped())
-}
-
-// writeChromeJSON renders events (already in start order) as one
-// Chrome-trace document; shared by Tracer and FlightRecorder.
-func writeChromeJSON(w io.Writer, events []Event, epoch time.Time, dropped int64) error {
+	events, dropped := tr.snapshot()
 	const pid = 1
 	tidOf := map[string]int{}
 	var out chromeTrace
@@ -334,7 +350,7 @@ func writeChromeJSON(w io.Writer, events []Event, epoch time.Time, dropped int64
 		Ph:   "M",
 		Pid:  pid,
 		Args: map[string]any{
-			"epoch_unix_nano": epoch.UnixNano(),
+			"epoch_unix_nano": tr.epoch.UnixNano(),
 			"dropped":         dropped,
 		},
 	}}
@@ -400,7 +416,7 @@ func writeChromeJSON(w io.Writer, events []Event, epoch time.Time, dropped int64
 }
 
 // MergeChromeTraces merges per-node Chrome trace files (as written by
-// WriteChromeTrace or FlightRecorder.WriteChromeTrace) into one document on
+// Tracer.WriteChromeTrace) into one document on
 // a single aligned timeline: each input becomes one named process, and
 // every input's timestamps are shifted by the difference between its
 // recording epoch (read from its fg_trace_meta event) and the earliest

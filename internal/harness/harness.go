@@ -92,8 +92,8 @@ type Params struct {
 	// pull requests for black boxes and profiles are served. When Collect
 	// and Blackbox are unset, the harness fills them from Observe — stage
 	// taxonomy, pool occupancy, and knob positions from the metrics
-	// registry, stall reports from the watchdog, the flight recorder as
-	// the black box. The zero value disables the plane.
+	// registry, stall reports from the watchdog, the tracer's recent
+	// events as the black box. The zero value disables the plane.
 	Telemetry cluster.TelemetryConfig
 
 	// OnTelemetry, if non-nil, receives each freshly started telemetry
@@ -155,8 +155,8 @@ func (pr Params) observe(c *cluster.Cluster) (detach func()) {
 	if cfg.Collect == nil {
 		fc := newFleetCollector(pr.Observe)
 		cfg.Collect = fc.collectFor(c)
-		if cfg.Blackbox == nil {
-			cfg.Blackbox = fc.blackbox()
+		if cfg.Blackbox == nil && pr.Observe != nil && pr.Observe.Tracer != nil {
+			cfg.Blackbox = pr.Observe.Tracer.WriteChromeTrace
 		}
 		restore = fc.restore
 	}

@@ -301,7 +301,7 @@ func TestDetachedClusterReleased(t *testing.T) {
 	pr := tinyParams()
 	pr.Nodes = 2
 	pr.ColumnsPerNode = 1
-	pr.Observe = &fg.Observe{Metrics: reg, Flight: fg.NewFlightRecorder(0)}
+	pr.Observe = &fg.Observe{Metrics: reg, Tracer: fg.NewTracer(0)}
 	pr.OnCluster = func(c *cluster.Cluster) {
 		sentinel := &[64]byte{}
 		runtime.SetFinalizer(sentinel, func(*[64]byte) { close(collected) })
@@ -340,7 +340,7 @@ func TestObserveCLITraceOutAtomicWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs == nil || obs.Tracer == nil || obs.Flight == nil {
+	if obs == nil || obs.Tracer == nil {
 		t.Fatalf("bundle incomplete: %+v", obs)
 	}
 	pr := tinyParams()

@@ -16,16 +16,16 @@ import (
 	"github.com/fg-go/fg/jobspec"
 )
 
-// BlackBoxPath is where ObserveCLI dumps the flight recorder when a run
-// stalls or panics: a Chrome-trace "black box" of the final moments.
+// BlackBoxPath is where ObserveCLI dumps the tracer when a run stalls or
+// panics: a Chrome-trace "black box" of the final moments.
 const BlackBoxPath = "fg-blackbox.json"
 
 // ObserveCLI builds the fg.Observe bundle behind the commands' -metrics,
 // -trace-out, -status-addr, and -stall-after flags. It returns the bundle
 // (nil when every argument is zero, so an unobserved run costs nothing) and
 // a finish function taking the run's error; finish prints node 0's
-// bottleneck reports, writes the Chrome trace file, dumps the flight
-// recorder if the run died on a panic, and stops the HTTP servers.
+// bottleneck reports, writes the Chrome trace file, dumps the black box if
+// the run died on a panic, and stops the HTTP servers.
 //
 // metricsAddr, when non-empty, is a host:port to serve Prometheus metrics
 // and expvar on for the duration of the run (":0" picks a free port).
@@ -36,8 +36,8 @@ const BlackBoxPath = "fg-blackbox.json"
 // /status and /status.json endpoints (plus /metrics) on its own address.
 // stallAfter, when positive, arms a progress watchdog on every network: a
 // stretch of stallAfter with no stage completing a round prints a
-// StallReport naming the suspected culprit and dumps the flight recorder
-// to BlackBoxPath.
+// StallReport naming the suspected culprit and dumps the tracer to
+// BlackBoxPath.
 //
 // clusterAddr, when non-empty, additionally serves the fleet view —
 // /cluster/status.json, /cluster/metrics, /cluster/blackbox, and
@@ -47,9 +47,9 @@ const BlackBoxPath = "fg-blackbox.json"
 // telemetry plane. The view fills in only on the process hosting the
 // aggregator rank; other ranks' servers answer 503.
 //
-// Whenever any flag is set, a flight recorder rides along: the last few
-// thousand events are retained even when full tracing is off, so the black
-// box has something to say.
+// Whenever any flag is set, a tracer rides along: it keeps the last 4096
+// events, or with traceOut the last 2M, and the black box and the trace
+// file are both dumps of it.
 func ObserveCLI(metricsAddr, traceOut, statusAddr, clusterAddr string, stallAfter time.Duration) (*fg.Observe, *ClusterTelemetry, func(runErr error) error, error) {
 	if metricsAddr == "" && traceOut == "" && statusAddr == "" && clusterAddr == "" && stallAfter <= 0 {
 		return nil, nil, func(error) error { return nil }, nil
@@ -66,7 +66,11 @@ func ObserveCLI(metricsAddr, traceOut, statusAddr, clusterAddr string, stallAfte
 		reports = append(reports, fmt.Sprintf("%s: %s", st.Name, st.Bottleneck()))
 		mu.Unlock()
 	}
-	o.Flight = fg.NewFlightRecorder(0)
+	limit := 0 // NewTracer's default
+	if traceOut != "" {
+		limit = 1 << 21
+	}
+	o.Tracer = fg.NewTracer(limit)
 	var servers []io.Closer
 	closeServers := func() error {
 		var err error
@@ -110,19 +114,15 @@ func ObserveCLI(metricsAddr, traceOut, statusAddr, clusterAddr string, stallAfte
 		servers = append(servers, ct)
 		fmt.Printf("serving fleet view on http://%s/cluster/status.json and /cluster/metrics\n", ct.Addr())
 	}
-	if traceOut != "" {
-		o.Tracer = fg.NewTracer(1 << 21)
-	}
 	writeBlackBox := func(why string) {
 		err := writeFileAtomic(BlackBoxPath, func(w io.Writer) error {
-			return o.Flight.WriteChromeTrace(w)
+			return o.Tracer.WriteChromeTrace(w)
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "black box write failed: %v\n", err)
 			return
 		}
-		fmt.Printf("black box (%s) written to %s: last %d events; load it in chrome://tracing\n",
-			why, BlackBoxPath, o.Flight.Len())
+		fmt.Printf("black box (%s) written to %s; load it in chrome://tracing\n", why, BlackBoxPath)
 	}
 	if stallAfter > 0 {
 		interval := stallAfter / 4
@@ -150,7 +150,7 @@ func ObserveCLI(metricsAddr, traceOut, statusAddr, clusterAddr string, stallAfte
 			writeBlackBox("panic in stage " + pe.Stage)
 		}
 		mu.Unlock()
-		if o.Tracer != nil {
+		if traceOut != "" {
 			if err := writeFileAtomic(traceOut, o.Tracer.WriteChromeTrace); err != nil {
 				_ = closeServers()
 				return err

@@ -250,8 +250,8 @@ func spawnTCPJob(t *testing.T, ranks int, extraEnv func(rank int) []string) []*t
 	for rank := range children {
 		ch := &tcpChild{done: make(chan error, 1)}
 		ch.cmd = exec.Command(os.Args[0], "-test.run=^$")
-		// A stalled child dumps its flight-recorder black box into its
-		// working directory; keep that out of the package tree.
+		// A stalled child dumps its black box into its working
+		// directory; keep that out of the package tree.
 		ch.cmd.Dir = t.TempDir()
 		ch.cmd.Stdout = &ch.stdout
 		ch.cmd.Stderr = &ch.stderr

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -158,22 +157,12 @@ func (fc *fleetCollector) collect(rank int, tunerOwner bool) cluster.RankTelemet
 	return rec
 }
 
-// blackbox returns the Blackbox callback for the telemetry pull RPC: the
-// flight recorder's Chrome-trace dump, or nil when the bundle has no
-// recorder.
-func (fc *fleetCollector) blackbox() func(w io.Writer) error {
-	if fc.o == nil || fc.o.Flight == nil {
-		return nil
-	}
-	return fc.o.Flight.WriteChromeTrace
-}
-
 // A ClusterTelemetry is the fleet view's HTTP server, the cmds' end of the
 // -cluster-status-addr flag. It serves:
 //
 //	/cluster/status.json  the aggregator's fleet view (cluster.ClusterStatus)
 //	/cluster/metrics      the same view as rank-labeled Prometheus series
-//	/cluster/blackbox     ?rank=N[&stall=1]: a rank's flight recorder, pulled
+//	/cluster/blackbox     ?rank=N[&stall=1]: a rank's recent trace, pulled
 //	                      on demand (stall=1 returns the one auto-pulled at
 //	                      the rank's last stall)
 //	/cluster/profile      ?rank=N&kind=cpu|heap: a pprof profile pulled from
@@ -288,7 +277,7 @@ func (ct *ClusterTelemetry) servePull(contentType string,
 	}
 }
 
-// pullBlackbox fetches a rank's flight recorder, or with stall=1 the one
+// pullBlackbox fetches a rank's black box, or with stall=1 the one
 // auto-pulled at the rank's last stall.
 func pullBlackbox(t *cluster.Telemetry, rank int, q url.Values) ([]byte, int, error) {
 	if q.Get("stall") == "" {

@@ -81,7 +81,7 @@ func TestFleetCollectorStallLifecycle(t *testing.T) {
 // TestClusterTelemetryInproc: an in-process dsort with the plane on — the
 // fleet view fills from the real fg registry, every rank reports, the
 // bottleneck names a stage, the metrics endpoint carries fleet_ series, and
-// the blackbox endpoint pulls a flight-recorder dump.
+// the blackbox endpoint pulls a tracer dump.
 func TestClusterTelemetryInproc(t *testing.T) {
 	ct, err := ServeClusterTelemetry("127.0.0.1:0")
 	if err != nil {
@@ -99,7 +99,7 @@ func TestClusterTelemetryInproc(t *testing.T) {
 		t.Fatalf("pre-run status.json answered %d, want 503", resp.StatusCode)
 	}
 
-	obs := &fg.Observe{Metrics: fg.NewMetricsRegistry(), Flight: fg.NewFlightRecorder(0)}
+	obs := &fg.Observe{Metrics: fg.NewMetricsRegistry(), Tracer: fg.NewTracer(0)}
 	pr := DefaultParams()
 	pr.Nodes = 2
 	pr.TotalRecords = 1 << 12

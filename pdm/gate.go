@@ -13,7 +13,11 @@ import (
 // the overshoot. The long-run wall-clock rate therefore matches the model
 // exactly, even for operations much shorter than the scheduler's timer
 // resolution, while the gate's mutex still serializes concurrent users as
-// a single device would.
+// a single device would. A charge of at least one quantum is always paid
+// in full: its caller never returns while the device is behind the model,
+// so a sequence of such charges takes at least their sum of wall time even
+// when an earlier overshoot left credit that brings the debt below the
+// quantum.
 type CostGate struct {
 	mu   sync.Mutex
 	debt time.Duration
@@ -31,7 +35,7 @@ func (g *CostGate) Charge(d time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.debt += d
-	if g.debt < gateQuantum {
+	if g.debt <= 0 || (g.debt < gateQuantum && d < gateQuantum) {
 		return
 	}
 	start := time.Now()

@@ -440,6 +440,23 @@ func TestCostGateChargesAtModeledRate(t *testing.T) {
 	}
 }
 
+// TestCostGateLongChargePaidAfterCredit: an earlier sleep overshot by
+// more than a quantum, so a 2ms charge brings the debt only to 0.5ms. The
+// charge must still block for that 0.5ms rather than leave it unpaid, or
+// a run of 2ms sends could finish faster than the modeled network.
+func TestCostGateLongChargePaidAfterCredit(t *testing.T) {
+	var g CostGate
+	g.debt = -1500 * time.Microsecond
+	start := time.Now()
+	g.Charge(2 * time.Millisecond)
+	if elapsed := time.Since(start); elapsed < 500*time.Microsecond {
+		t.Errorf("2ms charge against 1.5ms of credit returned after %v, want >= 500us", elapsed)
+	}
+	if g.debt > 0 {
+		t.Errorf("debt after a long charge = %v, want <= 0", g.debt)
+	}
+}
+
 func TestCostGateZeroAndNegativeFree(t *testing.T) {
 	var g CostGate
 	start := time.Now()

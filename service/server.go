@@ -389,7 +389,7 @@ func (s *Server) params(j *Job) (harness.Params, func(), error) {
 
 	obs := &fg.Observe{
 		Metrics: fg.NewMetricsRegistry(),
-		Flight:  fg.NewFlightRecorder(0),
+		Tracer:  fg.NewTracer(0),
 		OnStats: func(st fg.NetworkStats) {
 			// One line per network of node 0; barriers make it
 			// cluster-representative (the ObserveCLI convention).

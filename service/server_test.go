@@ -121,8 +121,7 @@ func (d *testDaemon) waitTerminal(t *testing.T, id string, within time.Duration)
 
 // TestAPISubmitPollResult drives the whole happy path a client sees:
 // submit over a real listener, poll to done, fetch the verified result,
-// the flight-recorder black box, the metrics scrape, and the daemon
-// status document.
+// the black box, the metrics scrape, and the daemon status document.
 func TestAPISubmitPollResult(t *testing.T) {
 	check.NoLeakedGoroutines(t)
 	d := startDaemon(t, Config{MaxConcurrent: 2, Log: io.Discard})
