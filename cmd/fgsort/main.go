@@ -29,18 +29,11 @@ import (
 	"time"
 
 	"github.com/fg-go/fg/cluster"
-	"github.com/fg-go/fg/fg"
 	"github.com/fg-go/fg/internal/harness"
 	"github.com/fg-go/fg/workload"
 )
 
 func main() {
-	// A/B escape hatch for the queue layer (see EXPERIMENTS.md): force the
-	// channel-backed queue build instead of lock-free SPSC rings.
-	if os.Getenv("FGSORT_CHANNEL_QUEUES") != "" {
-		fg.UseChannelQueues(true)
-	}
-
 	pr, cli, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatal(err)

@@ -45,10 +45,8 @@ func (e *PanicError) Unwrap() error {
 // WaitGroup Done, so the failure is recorded before the goroutine is
 // counted out), naming the stage it serves.
 func (nw *Network) recoverPanic(stage string) {
-	if r := recover(); r != nil {
-		buf := make([]byte, 64<<10)
-		buf = buf[:runtime.Stack(buf, false)]
-		nw.fail(&PanicError{Stage: stage, Value: r, Stack: buf})
+	if pe := capturePanic(stage, recover()); pe != nil {
+		nw.fail(pe)
 	}
 }
 

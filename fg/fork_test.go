@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -158,34 +159,60 @@ func TestForkLastRegionFeedsSink(t *testing.T) {
 	}
 }
 
-func TestForkBranchesOverlap(t *testing.T) {
-	// A slow branch must not block buffers taking the fast branch: with
-	// both branches sleeping, wall time should approach the slower branch's
-	// total rather than the sum.
+// rendezvous returns a stage body that makes each consecutive group of n
+// rounds meet inside the stage: every round of a group blocks until all n
+// have entered, and fails the stage if they have not within timeout. A run
+// that succeeds proves n invocations were in flight at once, with no
+// reliance on wall-clock speedups.
+func rendezvous(n, rounds int, timeout time.Duration) RoundFunc {
+	arrived := make([]atomic.Int32, rounds/n)
+	full := make([]chan struct{}, rounds/n)
+	for i := range full {
+		full[i] = make(chan struct{})
+	}
+	return func(ctx *Ctx, b *Buffer) error {
+		g := b.Round / n
+		if arrived[g].Add(1) == int32(n) {
+			close(full[g])
+		}
+		select {
+		case <-full[g]:
+			return nil
+		case <-time.After(timeout):
+			return fmt.Errorf("round %d: %d of %d rounds of its group inside stage %q after %v",
+				b.Round, arrived[g].Load(), n, ctx.Stage().Name(), timeout)
+		}
+	}
+}
+
+// runForkRendezvous routes even rounds down branch 0 and odd rounds down
+// branch 1, each pair meeting inside the two branch stages at once.
+func runForkRendezvous(buffers int, timeout time.Duration) error {
 	const rounds = 12
 	nw := NewNetwork("overlap")
-	p := nw.AddPipeline("main", Buffers(4), BufferBytes(1), Rounds(rounds))
+	p := nw.AddPipeline("main", Buffers(buffers), BufferBytes(1), Rounds(rounds))
 	p.AddStage("produce", func(ctx *Ctx, b *Buffer) error { return nil })
 	fork := p.AddFork("route", 2, func(ctx *Ctx, b *Buffer) (int, error) {
 		return b.Round % 2, nil
 	})
-	fork.Branch(0).AddStage("slowA", func(ctx *Ctx, b *Buffer) error {
-		time.Sleep(4 * time.Millisecond)
-		return nil
-	})
-	fork.Branch(1).AddStage("slowB", func(ctx *Ctx, b *Buffer) error {
-		time.Sleep(4 * time.Millisecond)
-		return nil
-	})
+	meet := rendezvous(2, rounds, timeout)
+	fork.Branch(0).AddStage("left", meet)
+	fork.Branch(1).AddStage("right", meet)
 	fork.Join()
-	start := time.Now()
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
+	return nw.Run()
+}
+
+func TestForkBranchesOverlap(t *testing.T) {
+	// A buffer in one branch must not block buffers taking the other: every
+	// even round waits inside branch 0 until its odd partner has entered
+	// branch 1, and vice versa.
+	if err := runForkRendezvous(4, 5*time.Second); err != nil {
+		t.Fatalf("branches did not overlap: %v", err)
 	}
-	elapsed := time.Since(start)
-	serial := time.Duration(rounds) * 4 * time.Millisecond
-	if elapsed > serial*3/4 {
-		t.Errorf("forked branches took %v; serial would be %v — branches did not overlap", elapsed, serial)
+	// Control: with one buffer the pair can never meet, so the rendezvous
+	// must fail — the test can tell overlap from its absence.
+	if err := runForkRendezvous(1, 50*time.Millisecond); err == nil {
+		t.Fatal("rendezvous passed with a single buffer, where overlap is impossible")
 	}
 }
 
@@ -396,13 +423,109 @@ func TestForkStatsCount(t *testing.T) {
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
+	// Every stage is listed, each branch stage right after its fork, and
+	// every buffer passes through the fork, the branch and the join.
+	var names []string
 	for _, st := range nw.Stats().Stages {
-		if st.Stage == "route" && st.Rounds != 9 {
-			t.Errorf("fork stage counted %d rounds, want 9", st.Rounds)
+		names = append(names, st.Stage)
+		if st.Stage != "produce" && st.Rounds != 9 {
+			t.Errorf("stage %q counted %d rounds, want 9", st.Stage, st.Rounds)
 		}
-		if st.Stage == "work" && st.Rounds != 9 {
-			t.Errorf("branch stage counted %d rounds, want 9", st.Rounds)
+	}
+	if got, want := fmt.Sprint(names), "[produce route work route.join]"; got != want {
+		t.Errorf("stats list stages %s, want %s", got, want)
+	}
+}
+
+// forkSleepNet is produce -> fork "route" (routeSleep per buffer) -> branch
+// stage "work" (workSleep per buffer) -> join, for 9 rounds.
+func forkSleepNet(routeSleep, workSleep time.Duration) *Network {
+	nw := NewNetwork("forksleep")
+	p := nw.AddPipeline("main", Buffers(3), Rounds(9))
+	p.AddStage("produce", func(ctx *Ctx, b *Buffer) error { return nil })
+	fork := p.AddFork("route", 1, func(ctx *Ctx, b *Buffer) (int, error) {
+		time.Sleep(routeSleep)
+		return 0, nil
+	})
+	fork.Branch(0).AddStage("work", func(ctx *Ctx, b *Buffer) error {
+		time.Sleep(workSleep)
+		return nil
+	})
+	fork.Join()
+	return nw
+}
+
+// TestForkBranchStageIsBottleneck: a slow branch stage governs the run, so
+// the bottleneck report must name it — which needs branch stages in Stats.
+// Only the branch sleeps: sleep overshoot on a loaded host must not let
+// another sleeping stage outweigh it.
+func TestForkBranchStageIsBottleneck(t *testing.T) {
+	nw := forkSleepNet(0, 2*time.Millisecond)
+	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r := nw.Stats().Bottleneck(); r.Stage != "work" {
+		t.Errorf("bottleneck is %q, want the slow branch stage %q (%v)", r.Stage, "work", r)
+	}
+}
+
+// TestForkRecordsRouteWork: time inside the route function is the fork's
+// work, and its rounds are traced like any other stage's.
+func TestForkRecordsRouteWork(t *testing.T) {
+	nw := forkSleepNet(time.Millisecond, 0)
+	tr := NewTracer(0)
+	nw.SetTracer(tr)
+	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range nw.Stats().Stages {
+		if st.Stage == "route" && st.Work < 9*time.Millisecond {
+			t.Errorf("fork work = %v, want at least 9 routes of 1ms", st.Work)
 		}
+	}
+	works := 0
+	for _, e := range tr.Events() {
+		if e.Stage == "route" && e.Kind == EventWork {
+			works++
+		}
+	}
+	if works != 9 {
+		t.Errorf("tracer holds %d work events for the fork, want 9", works)
+	}
+}
+
+// TestForkWorkingWhileRouting: a fork inside its route function reads
+// working, not accepting, so a watchdog does not call it starved.
+func TestForkWorkingWhileRouting(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	nw := NewNetwork("forkpark")
+	p := nw.AddPipeline("main", Buffers(2), Rounds(3))
+	p.AddStage("produce", func(ctx *Ctx, b *Buffer) error { return nil })
+	fork := p.AddFork("route", 1, func(ctx *Ctx, b *Buffer) (int, error) {
+		if b.Round == 0 {
+			close(entered)
+			<-release
+		}
+		return 0, nil
+	})
+	fork.Branch(0).AddStage("work", func(ctx *Ctx, b *Buffer) error { return nil })
+	fork.Join()
+	done := make(chan error, 1)
+	go func() { done <- nw.Run() }()
+	select {
+	case <-entered:
+	case err := <-done:
+		t.Fatalf("Run returned %v before routing round 0", err)
+	}
+	for _, st := range nw.Stats().Stages {
+		if st.Stage == "route" && st.State != StageWorking {
+			t.Errorf("fork inside its route function reads %v, want working", st.State)
+		}
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -442,28 +565,22 @@ func TestReplicatedStageProcessesEverything(t *testing.T) {
 }
 
 func TestReplicatedStageOverlapsWork(t *testing.T) {
-	// Four workers sleeping 3ms each should near-quadruple throughput.
-	run := func(replicas int) time.Duration {
-		nw := NewNetwork("replspeed")
-		p := nw.AddPipeline("main", Buffers(8), BufferBytes(1), Rounds(16))
+	// Every group of four consecutive rounds must be inside the stage at
+	// once: all four workers busy together, not merely taking turns.
+	run := func(replicas int, timeout time.Duration) error {
+		const rounds = 16
+		nw := NewNetwork("replmeet")
+		p := nw.AddPipeline("main", Buffers(8), BufferBytes(1), Rounds(rounds))
 		p.AddStage("produce", func(ctx *Ctx, b *Buffer) error { return nil })
-		s := p.AddStage("slow", func(ctx *Ctx, b *Buffer) error {
-			time.Sleep(3 * time.Millisecond)
-			return nil
-		})
-		if replicas > 1 {
-			s.Replicate(replicas)
-		}
-		start := time.Now()
-		if err := nw.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
+		p.AddStage("meet", rendezvous(4, rounds, timeout)).Replicate(replicas)
+		return nw.Run()
 	}
-	single := run(1)
-	quad := run(4)
-	if quad*2 >= single {
-		t.Errorf("4 replicas took %v vs single %v; expected at least 2x", quad, single)
+	if err := run(4, 5*time.Second); err != nil {
+		t.Fatalf("4 replicas did not work concurrently: %v", err)
+	}
+	// Control: a single worker can never hold four rounds at once.
+	if err := run(1, 50*time.Millisecond); err == nil {
+		t.Fatal("rendezvous passed with one replica, where overlap is impossible")
 	}
 }
 

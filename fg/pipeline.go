@@ -17,8 +17,7 @@ type Pipeline struct {
 	nBuffers int
 	rounds   int // -1 = unlimited, until Stop or downstream completion
 
-	stages  []*Stage
-	slotCtx []*Ctx // restricted contexts for round stages, by position
+	stages []*Stage
 
 	forks    []*Fork
 	openFork *Fork
@@ -82,11 +81,12 @@ func Unlimited() Option {
 // cost on pipelines whose rounds are small (many small buffers, cheap
 // stage functions). Batching is opportunistic and never delays data: a
 // stage accumulates a batch only while more input is already queued, and
-// flushes the moment its input runs dry, its batch fills, or the stream
-// ends — so ordering, caboose placement, and overlap are exactly those of
-// the unbatched build. It applies to spine round stages (the runSlot
-// runner); free, fork, and replicated stages hand off singly. The default
-// is 1 (no batching).
+// flushes the moment its input runs dry, its batch fills, the stream ends,
+// or a fork routes to a different branch — so ordering, caboose placement,
+// and overlap are exactly those of the unbatched build. It applies to every
+// stage the framework accepts and conveys for — round, virtual, fork,
+// branch, join and replicated stages; free stages convey for themselves.
+// The default is 1 (no batching).
 func Batch(k int) Option {
 	return func(p *Pipeline) {
 		if k < 1 {
@@ -233,7 +233,7 @@ type group struct {
 	pool   chan *Buffer // recycled buffers, all members mixed
 	wake   chan struct{}
 
-	batch int // max member batch size, applied by the slot runners
+	batch int // max member batch size, applied by every round loop
 
 	// built is stored true once queues and pool exist, so a concurrent
 	// Stats snapshot knows it may read their occupancy (the atomic store
@@ -305,11 +305,11 @@ func (g *group) build() error {
 	// produces and one consumes, a channel otherwise. The producer of
 	// queues[0] is the single source goroutine and the consumer of the last
 	// queue is the single sink goroutine; the goroutine serving position i
-	// is single (runSlot, runFree, runFork, runJoin) unless the stage is
-	// replicated (n workers share the queues, and they push the circulating
-	// caboose back into their input queue) — and a join's input queue is
-	// fed by every branch tail plus the fork's bypass. So queues[i] is SPSC
-	// unless the stage at i is replicated or a join, or the stage at i-1 is
+	// is single (a round loop or runFree) unless the stage is replicated
+	// (n workers share the queues, and they push the circulating caboose
+	// back into their input queue) — and a join's input queue is fed by
+	// every branch tail plus the fork's bypass. So queues[i] is SPSC unless
+	// the stage at i is replicated or a join, or the stage at i-1 is
 	// replicated.
 	spscAt := func(i int) bool {
 		for _, p := range g.pipes {
@@ -329,17 +329,11 @@ func (g *group) build() error {
 	}
 	g.queues = make([]queue, nStages+1)
 	for i := range g.queues {
-		g.queues[i] = newQueue(totalBufs+len(g.pipes)+maxBranches, spscAt(i))
-	}
-	// A push that misses the fast path is an invariant violation; surface
-	// it in the tracer, tagged with the edge's consumer.
-	for i := range g.queues {
 		consumer := "sink"
 		if i < nStages {
 			consumer = g.pipes[0].stages[i].name
 		}
-		name := consumer
-		g.queues[i].onSlowPush(func() { g.nw.noteSlowPush(g.name, name) })
+		g.queues[i] = g.newEdge(totalBufs+len(g.pipes)+maxBranches, spscAt(i), consumer)
 	}
 	g.batch = 1
 	for _, p := range g.pipes {
@@ -350,19 +344,28 @@ func (g *group) build() error {
 	if err := g.validateReplicas(); err != nil {
 		return err
 	}
+	if err := g.buildForks(); err != nil {
+		return err
+	}
 	g.pool = make(chan *Buffer, totalBufs)
 	for _, p := range g.pipes {
-		p.slotCtx = make([]*Ctx, nStages)
-		for pos, s := range p.stages {
+		for _, s := range p.stages {
 			if !s.isFree() {
-				ctx := newCtx(g.nw, s)
-				ctx.restricted = true
-				p.slotCtx[pos] = ctx
+				s.ctx = newRoundCtx(g.nw, s)
 			}
 		}
 	}
 	g.built.Store(true)
 	return nil
+}
+
+// newEdge creates a queue into the named consumer stage. A push that misses
+// the fast path is an invariant violation; the hook surfaces it in the
+// tracer, tagged with the consumer.
+func (g *group) newEdge(capacity int, spscOK bool, consumer string) queue {
+	q := newQueue(capacity, spscOK)
+	q.onSlowPush(func() { g.nw.noteSlowPush(g.name, consumer) })
+	return q
 }
 
 // runSource is the group's (virtual) source: it injects each member

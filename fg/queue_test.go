@@ -229,6 +229,45 @@ func TestSlowPushReachesTracer(t *testing.T) {
 	}
 }
 
+// TestSlowPushOnBranchReachesTracer: branch queues are built with the fork,
+// off the spine, and must carry the same hook, tagged with the branch
+// stage that consumes them — and surface in that stage's Stats row.
+func TestSlowPushOnBranchReachesTracer(t *testing.T) {
+	nw := NewNetwork("breach")
+	tr := NewTracer(16)
+	nw.SetTracer(tr)
+	p := nw.AddPipeline("main", Buffers(2), BufferBytes(8), Rounds(3))
+	fork := p.AddFork("route", 2, func(ctx *Ctx, b *Buffer) (int, error) { return 0, nil })
+	fork.Branch(0).AddStage("left", func(ctx *Ctx, b *Buffer) error { return nil })
+	fork.Branch(1).AddStage("right", func(ctx *Ctx, b *Buffer) error { return nil })
+	fork.Join()
+	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	q := fork.branchQ[1][0]
+	for i := 0; i <= q.cap(); i++ {
+		_ = q.push(&Buffer{}, nw.done)
+	}
+	var events int
+	for _, e := range tr.Events() {
+		if e.Kind == EventSlowPush {
+			events++
+			if e.Stage != "right" || e.Pipeline != "main" {
+				t.Errorf("slow-push event tagged %s/%s, want main/right", e.Pipeline, e.Stage)
+			}
+		}
+	}
+	if events != 1 {
+		t.Errorf("tracer holds %d slow-push events, want 1", events)
+	}
+	for _, s := range nw.Stats().Stages {
+		if s.Stage == "right" && (s.SlowPushes != 1 || s.QueueLen != q.cap()) {
+			t.Errorf("branch stage stats: slow pushes %d, queue %d/%d; want 1, %d/%d",
+				s.SlowPushes, s.QueueLen, s.QueueCap, q.cap(), q.cap())
+		}
+	}
+}
+
 // TestSlowPushesSurfaceInStats: the per-queue counter must flow into
 // StageStats alongside the queue's occupancy and capacity.
 func TestSlowPushesSurfaceInStats(t *testing.T) {

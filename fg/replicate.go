@@ -3,7 +3,6 @@ package fg
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // Stage replication. The paper notes (Section II) that FG gains additional
@@ -74,61 +73,25 @@ func (g *group) validateReplicas() error {
 // is processed by exactly one worker. The single caboose circulates: each
 // worker that meets it counts itself out and puts it back for its siblings;
 // the last one forwards it downstream. Because a worker only meets the
-// caboose after conveying its in-flight buffer, every data buffer reaches
-// the output queue before the caboose does.
+// caboose after conveying its in-flight buffers, every data buffer reaches
+// the output queue before the caboose does. The workers share one stage
+// object, so its park state flaps between the transitions of whichever
+// worker stored last; it is exact when the whole crew is parked, which is
+// the case a watchdog cares about.
 func runReplicated(nw *Network, g *group, pos int) {
 	s := g.pipes[0].stages[pos]
 	in := g.queues[pos]
 	out := g.queues[pos+1]
-	ctx := g.pipes[0].slotCtx[pos]
 	var seen atomic.Int32
-	n := s.replicas
-	// The workers share one stage object, so its park state flaps between
-	// the transitions of whichever worker stored last; it is exact when the
-	// whole crew is parked, which is the case a watchdog cares about.
-	s.stats.setPark(StageAccepting, time.Now())
-	for w := 0; w < n; w++ {
-		nw.wg.Add(1)
-		go nw.labeled(g.name, s.name, func() {
-			defer nw.wg.Done()
-			defer nw.recoverPanic(s.name)
-			for {
-				start := time.Now()
-				b, err := in.pop(nw.done)
-				if err != nil {
-					return
-				}
-				s.stats.acceptWait.Add(int64(time.Since(start)))
-				round := -1
-				if !b.caboose {
-					round = b.Round
-				}
-				nw.traceWait(s, b.pipe, round, start)
-				if b.caboose {
-					if int(seen.Add(1)) < n {
-						_ = in.push(b, nw.done) // pass it to a sibling
-					} else {
-						s.stats.setPark(StageDone, time.Now())
-						_ = out.push(b, nw.done) // last worker: done for real
-					}
-					return
-				}
-				t0 := time.Now()
-				s.stats.setPark(StageWorking, t0)
-				ferr := s.round(ctx, b)
-				t1 := time.Now()
-				s.stats.work.Add(int64(t1.Sub(t0)))
-				s.stats.rounds.Add(1)
-				s.stats.setPark(StageAccepting, t1)
-				nw.traceWork(s, b.pipe, b.Round, t0)
-				if ferr != nil {
-					nw.fail(fmt.Errorf("fg: stage %q: %w", s.name, ferr))
-					return
-				}
-				if err := out.push(b, nw.done); err != nil {
-					return
-				}
-			}
-		})
+	circulate := func(_ *Stage, b *Buffer) (bool, bool) {
+		if int(seen.Add(1)) < s.replicas {
+			_ = in.push(b, nw.done) // pass it to a sibling
+			return false, true
+		}
+		_ = out.push(b, nw.done) // last worker: done for real
+		return true, true
+	}
+	for w := 0; w < s.replicas; w++ {
+		nw.goServe(g, s.name, &roundLoop{in: in, out: out, stages: []*Stage{s}, caboose: circulate})
 	}
 }

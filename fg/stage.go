@@ -39,6 +39,10 @@ type Stage struct {
 	// replicas > 1 asks for that many parallel workers (see Replicate).
 	replicas int
 
+	// ctx is the restricted context handed to a round stage's function or
+	// a fork's route, built with the network.
+	ctx *Ctx
+
 	stats stageCounters
 }
 
@@ -165,6 +169,14 @@ func newCtx(nw *Network, s *Stage) *Ctx {
 		eof:        make(map[*Pipeline]bool),
 		cabooseFwd: make(map[*Pipeline]bool),
 	}
+}
+
+// newRoundCtx returns the restricted context of a stage whose accepts and
+// conveys the framework performs.
+func newRoundCtx(nw *Network, s *Stage) *Ctx {
+	ctx := newCtx(nw, s)
+	ctx.restricted = true
+	return ctx
 }
 
 // Network returns the network the stage runs in.
@@ -300,110 +312,161 @@ func runFree(nw *Network, s *Stage) {
 	ctx.finish()
 }
 
-// runSlot executes the round stages of one group slot: it serves the
-// position-pos stage of every pipeline in the group, dispatching each
-// buffer to its own pipeline's stage function. For a plain pipeline the
-// group has one member and this is the classic one-thread-per-stage runner;
-// for a virtual group it is FG's shared thread for k identical virtual
-// stages.
-func runSlot(nw *Network, g *group, pos int) {
+// A roundLoop is one goroutine that serves round stages: FG's accept, run,
+// convey cycle, written once. A plain stage, a virtual slot, a fork, a
+// branch stage, a join and each worker of a replicated stage are all a
+// roundLoop; their launchers differ only in the fields below.
+type roundLoop struct {
+	in queue
+	// stages lists every stage the loop serves: one per member pipeline
+	// for a virtual slot, with stageOf picking the one that serves buffer
+	// b; otherwise a single stage, and stageOf is nil.
+	stages  []*Stage
+	stageOf func(b *Buffer) *Stage
+	// out is where a processed buffer leaves, unless route is set: then
+	// route runs in place of a round function and names the queue (a
+	// fork's branch). A stage with neither passes buffers through (a join).
+	out   queue
+	route func(ctx *Ctx, b *Buffer) (queue, error)
+	// caboose forwards a caboose that reached stage s. It reports whether s
+	// has seen its last caboose and whether the loop is done.
+	caboose func(s *Stage, b *Buffer) (stageDone, loopDone bool)
+}
+
+// serveRounds runs one roundLoop, handing buffers off in batches of up to
+// batch. Per buffer it does the accounting every stage gets — accept wait,
+// park state, work time, round count, trace events, and panic blame on the
+// stage whose buffer is in hand — around the stage's round function (or the
+// loop's route, or nothing for a join).
+func (nw *Network) serveRounds(l *roundLoop, batch int) {
 	defer nw.wg.Done()
-	// The slot serves one stage per member pipeline; blame the one whose
-	// buffer was in hand when the panic happened.
-	current := g.pipes[0].stages[pos].name
+	current := l.stages[0].name
 	defer func() {
 		if pe := capturePanic(current, recover()); pe != nil {
 			nw.fail(pe)
 		}
 	}()
-	in := g.queues[pos]
-	out := g.queues[pos+1]
-	remaining := len(g.pipes)
 	// Batching (fg.Batch): processed buffers accumulate in pending and are
 	// handed off together — but only while further input is already queued,
-	// so a batch is never held while the stage would otherwise block, and
-	// the flush-before-blocking rule below keeps ordering, caboose
-	// placement, and deadlock-freedom exactly as in the unbatched build.
-	batch := g.batch
-	var pending []*Buffer
-	if batch > 1 {
-		pending = make([]*Buffer, 0, batch)
-	}
+	// so a batch is never held while the loop would otherwise block, and
+	// flushing before blocking, before a caboose, and before switching
+	// queues keeps ordering, caboose placement, and deadlock-freedom exactly
+	// as in the unbatched build.
+	pending := make([]*Buffer, 0, batch)
+	var pendingTo queue
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
 		}
-		err := out.pushN(pending, nw.done)
+		err := pendingTo.pushN(pending, nw.done)
 		pending = pending[:0]
 		return err
 	}
-	// Every member stage of the slot is now waiting for its first buffer.
-	// Per round, the served stage is marked working for exactly the span of
-	// its function, so a parked slot shows every member accepting and a
-	// stage stuck inside its function shows working since the round began.
-	slotStart := time.Now()
-	for _, p := range g.pipes {
-		p.stages[pos].stats.setPark(StageAccepting, slotStart)
+	// Every served stage is now waiting for its first buffer. Per round, the
+	// served stage is marked working for exactly the span of its function,
+	// so a parked loop shows every stage accepting and a stage stuck inside
+	// its function shows working since the round began.
+	begin := time.Now()
+	for _, s := range l.stages {
+		s.stats.setPark(StageAccepting, begin)
 	}
-	for remaining > 0 {
+	for {
 		start := time.Now()
-		var b *Buffer
-		if bb, ok := in.tryPop(); ok {
-			b = bb
-		} else {
+		b, ok := l.in.tryPop()
+		if !ok {
 			// Input ran dry: release anything batched downstream before
 			// parking, then block for the next buffer.
 			if err := flush(); err != nil {
 				return
 			}
-			bb, err := in.pop(nw.done)
-			if err != nil {
+			var err error
+			if b, err = l.in.pop(nw.done); err != nil {
 				return
 			}
-			b = bb
 		}
-		wait := time.Since(start)
-		s := b.pipe.stages[pos]
+		s := l.stages[0]
+		if l.stageOf != nil {
+			s = l.stageOf(b)
+		}
 		current = s.name
-		s.stats.acceptWait.Add(int64(wait))
-		round := -1
-		if !b.caboose {
-			round = b.Round
-		}
-		nw.traceWait(s, b.pipe, round, start)
+		s.stats.acceptWait.Add(int64(time.Since(start)))
 		if b.caboose {
-			remaining--
-			s.stats.setPark(StageDone, time.Now())
+			nw.traceWait(s, b.pipe, -1, start)
 			if err := flush(); err != nil {
 				return
 			}
-			_ = out.push(b, nw.done)
+			stageDone, loopDone := l.caboose(s, b)
+			if stageDone {
+				s.stats.setPark(StageDone, time.Now())
+			}
+			if loopDone {
+				return
+			}
 			continue
 		}
-		ctx := b.pipe.slotCtx[pos]
+		nw.traceWait(s, b.pipe, b.Round, start)
 		t0 := time.Now()
 		s.stats.setPark(StageWorking, t0)
-		ferr := s.round(ctx, b)
+		to := l.out
+		var err error
+		switch {
+		case l.route != nil:
+			to, err = l.route(s.ctx, b)
+		case s.round != nil:
+			err = s.round(s.ctx, b)
+		}
 		t1 := time.Now()
 		s.stats.work.Add(int64(t1.Sub(t0)))
 		s.stats.rounds.Add(1)
 		s.stats.setPark(StageAccepting, t1)
 		nw.traceWork(s, b.pipe, b.Round, t0)
-		if ferr != nil {
-			nw.fail(fmt.Errorf("fg: stage %q: %w", s.name, ferr))
+		if err != nil {
+			nw.fail(fmt.Errorf("fg: stage %q: %w", s.name, err))
 			return
 		}
-		if batch > 1 {
-			pending = append(pending, b)
-			if len(pending) >= batch {
-				if err := flush(); err != nil {
-					return
-				}
-			}
-			continue
-		}
-		if err := out.push(b, nw.done); err != nil {
+		if to != pendingTo && flush() != nil {
 			return
 		}
+		pendingTo = to
+		pending = append(pending, b)
+		if len(pending) >= batch && flush() != nil {
+			return
+		}
+	}
+}
+
+// goServe launches one roundLoop goroutine for group g, labeled with the
+// stage it serves.
+func (nw *Network) goServe(g *group, stage string, l *roundLoop) {
+	nw.wg.Add(1)
+	go nw.labeled(g.name, stage, func() { nw.serveRounds(l, g.batch) })
+}
+
+// runSlot serves the position-pos stage of every pipeline in the group,
+// dispatching each buffer to its own pipeline's stage. For a plain pipeline
+// the group has one member and this is the classic one-thread-per-stage
+// runner; for a virtual group it is FG's shared thread for k identical
+// virtual stages.
+func runSlot(nw *Network, g *group, pos int) {
+	out := g.queues[pos+1]
+	stages := make([]*Stage, len(g.pipes))
+	for i, p := range g.pipes {
+		stages[i] = p.stages[pos]
+	}
+	l := &roundLoop{in: g.queues[pos], out: out, stages: stages,
+		caboose: passCabooses(nw, out, len(stages))}
+	if len(stages) > 1 {
+		l.stageOf = func(b *Buffer) *Stage { return b.pipe.stages[pos] }
+	}
+	nw.goServe(g, stages[0].name, l)
+}
+
+// passCabooses is the caboose rule of a loop each of whose n stages sees
+// one caboose: forward it, and finish after the n-th.
+func passCabooses(nw *Network, out queue, n int) func(*Stage, *Buffer) (bool, bool) {
+	return func(_ *Stage, b *Buffer) (bool, bool) {
+		n--
+		_ = out.push(b, nw.done)
+		return true, n == 0
 	}
 }

@@ -116,37 +116,56 @@ func (nw *Network) Stats() NetworkStats {
 					continue
 				}
 				seen[s] = true
-				ss := StageStats{
-					Stage:      s.name,
-					Pipeline:   s.primary().name,
-					Shared:     len(s.slots) > 1,
-					Virtual:    g.virtual && !s.isFree(),
-					Rounds:     s.stats.rounds.Load(),
-					AcceptWait: time.Duration(s.stats.acceptWait.Load()),
-					Work:       time.Duration(s.stats.work.Load()),
+				var q queue
+				if built {
+					q = g.queues[pos]
 				}
-				// Load parkSince before park: setPark stores since first, so
-				// the duration can only be read conservatively (too short),
-				// never as a stale long stretch in a fresh state.
-				since := s.stats.parkSince.Load()
-				ss.State = StageState(s.stats.park.Load())
-				if ss.State != StageIdle && since > 0 {
-					ss.InState = time.Since(time.Unix(0, since))
-					if ss.InState < 0 {
-						ss.InState = 0
+				st.Stages = append(st.Stages, s.snapshot(q))
+				if s.fork == nil {
+					continue
+				}
+				// Branch stages are off the spine; list each right after
+				// its fork, with its own branch queue.
+				for i, chain := range s.fork.branches {
+					for j, bs := range chain {
+						if built {
+							q = s.fork.branchQ[i][j]
+						}
+						st.Stages = append(st.Stages, bs.snapshot(q))
 					}
 				}
-				if built {
-					q := g.queues[pos]
-					ss.QueueLen = q.len()
-					ss.QueueCap = q.cap()
-					ss.SlowPushes = q.slowPushes()
-				}
-				st.Stages = append(st.Stages, ss)
 			}
 		}
 	}
 	return st
+}
+
+// snapshot reads one stage's counters and the occupancy of its input queue
+// q, which is nil until the stage's group is built.
+func (s *Stage) snapshot(q queue) StageStats {
+	ss := StageStats{
+		Stage:      s.name,
+		Pipeline:   s.primary().name,
+		Shared:     len(s.slots) > 1,
+		Virtual:    !s.isFree() && s.primary().group.virtual,
+		Rounds:     s.stats.rounds.Load(),
+		AcceptWait: time.Duration(s.stats.acceptWait.Load()),
+		Work:       time.Duration(s.stats.work.Load()),
+	}
+	// Load parkSince before park: setPark stores since first, so the
+	// duration can only be read conservatively (too short), never as a
+	// stale long stretch in a fresh state.
+	since := s.stats.parkSince.Load()
+	ss.State = StageState(s.stats.park.Load())
+	if ss.State != StageIdle && since > 0 {
+		ss.InState = max(time.Since(time.Unix(0, since)), 0)
+	}
+	if q != nil {
+		ss.QueueLen = q.len()
+		ss.QueueCap = q.cap()
+		ss.SlowPushes = q.slowPushes()
+	}
+	return ss
 }
 
 // A BottleneckReport names the stage that governs a network's wall time and
